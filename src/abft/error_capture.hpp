@@ -10,31 +10,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
-#include <unordered_set>
 
 #include "common/fault_log.hpp"
 
 namespace abft {
-
-/// At-most-once arbitration for *corrected* reports on shared read-only data
-/// (the x vector of the parallel SpMV). Two threads may race to decode the
-/// same faulty codeword group before either's repair lands; both corrections
-/// write identical bytes, but a naive capture would count the event twice.
-/// Claiming here is strictly a cold path — clean decodes never touch it — so
-/// a mutex-protected set costs nothing per pass and no memory per vector.
-class CorrectedOnce {
- public:
-  /// True exactly once per distinct \p group across all threads.
-  [[nodiscard]] bool claim(std::size_t group) {
-    const std::scoped_lock lock(mu_);
-    return claimed_.insert(group).second;
-  }
-
- private:
-  std::mutex mu_;
-  std::unordered_set<std::size_t> claimed_;
-};
 
 /// Lock-free accumulator of check outcomes raised inside a parallel kernel.
 class ErrorCapture {

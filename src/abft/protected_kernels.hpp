@@ -4,10 +4,12 @@
 /// These are the three kernels the paper identifies as covering 98 % of
 /// TeaLeaf's runtime — sparse matrix-vector product and the BLAS-1 vector
 /// operations — rewritten to work on whole ECC codeword groups (paper §VI-C):
-/// reads decode a group once (with a small per-thread cache for the 5-point
-/// stencil's three row streams), writes encode a whole group at a time, so
+/// reads decode a group once, writes encode a whole group at a time, so
 /// there are no read-modify-writes and no two threads ever write the same
-/// codeword.
+/// codeword. SpMV/SpMM verify every x group once per pass, in a sweep ahead
+/// of the row loop, and then gather x through side-effect-free masked loads
+/// — the verify-then-masked-read contract the crc32c-tile matrix layout
+/// already follows.
 ///
 /// The SpMV kernel is format-generic: it drives the per-thread row cursor
 /// published through MatrixTraits (abft/format_traits.hpp) and never touches
@@ -67,6 +69,88 @@ inline void commit_each(const std::vector<OperandCommit>& operands) {
   for (const auto& op : operands) op.capture->commit(nullptr, op.policy);
 }
 
+/// x-load callable over a verified protected vector: the stored value with
+/// its redundancy bits masked off. No decode, no record, no cache — once the
+/// pre-pass has corrected x in place, the masked storage is exactly the value
+/// a decode would return (and for an uncorrectable group, the same masked
+/// bits the decode would have handed back).
+template <class VS>
+struct MaskedXLoad {
+  const double* x;
+  template <class C>
+  [[nodiscard]] double operator()(C c) const noexcept {
+    return VS::mask(x[static_cast<std::size_t>(c)]);
+  }
+};
+
+/// The chunk loop's x loader: the raw-gather marker for unprotected vectors
+/// (which licenses the slab cursors' SIMD gather), masked loads otherwise.
+template <class VS>
+[[nodiscard]] auto x_loader(const ProtectedVector<VS>& x) noexcept {
+  if constexpr (VS::kScheme == ecc::Scheme::none) {
+    return RawXLoad{x.data()};
+  } else {
+    return MaskedXLoad<VS>{x.data()};
+  }
+}
+
+/// Verify every codeword group of \p x exactly once, correcting in place and
+/// recording into the calling thread's \p capture. Must be reached by every
+/// thread of the enclosing parallel region: the orphaned worksharing loop
+/// splits the groups in static kSpmvChunkRows-group blocks, and its implicit
+/// barrier guarantees no thread gathers from x before x is clean. Each group
+/// has exactly one verifier, so x's check count is x.groups() and each fault
+/// is reported once at every thread count.
+template <class VS>
+void verify_x_pass(ProtectedVector<VS>& x, ErrorCapture& capture) {
+  if constexpr (VS::kScheme != ecc::Scheme::none) {
+    constexpr std::size_t G = VS::kGroup;
+    const std::size_t ngroups = x.groups();
+    const std::size_t nblocks = (ngroups + kSpmvChunkRows - 1) / kSpmvChunkRows;
+#pragma omp for schedule(static)
+    for (std::int64_t bi = 0; bi < static_cast<std::int64_t>(nblocks); ++bi) {
+      const std::size_t g0 = static_cast<std::size_t>(bi) * kSpmvChunkRows;
+      const std::size_t gend = std::min(g0 + kSpmvChunkRows, ngroups);
+      for (std::size_t g = g0; g < gend; ++g) {
+        double scratch[G];
+        capture.record(Region::dense_vector, VS::decode_group(x.data() + g * G, scratch), g);
+      }
+      capture.add_checks(gend - g0);
+    }
+  }
+}
+
+/// One kSpmvChunkRows-row chunk \p ci of y = A x: the cursor's row sums,
+/// encoded straight into y's codeword groups (a chunk holds whole groups, so
+/// no two chunks write the same codeword).
+template <class VS, class Cursor, class XLoad>
+void spmv_chunk(Cursor& cursor, std::size_t ci, std::size_t nrows, std::size_t ngroups,
+                CheckMode mode, const XLoad& xload, double* y) {
+  constexpr std::size_t G = VS::kGroup;
+  // SELL's chunk-local scatter assumes chunks stay at the shared granularity;
+  // every current vector-group size (1/2/4) divides it.
+  static_assert(kSpmvChunkRows % G == 0,
+                "vector codeword group must divide the SpMV chunk size");
+  const std::size_t row0 = ci * kSpmvChunkRows;  // < nrows: chunks tile the rows
+  const std::size_t count = std::min(kSpmvChunkRows, nrows - row0);
+  if constexpr (G == 1) {
+    // Single-entry vector codewords: encode each row sum straight from the
+    // register (no intermediate buffer; storage has no padding rows).
+    cursor.accumulate(row0, count, mode, xload, [&](std::size_t i, double v) {
+      VS::encode_group(&v, y + row0 + i);
+    });
+  } else {
+    double sums[kSpmvChunkRows] = {};  // group-padding rows stay zero
+    cursor.accumulate(row0, count, mode, xload,
+                      [&](std::size_t i, double v) { sums[i] = v; });
+    const std::size_t g0 = row0 / G;
+    const std::size_t gend = std::min(g0 + kSpmvChunkRows / G, ngroups);
+    for (std::size_t g = g0; g < gend; ++g) {
+      VS::encode_group(sums + (g - g0) * G, y + g * G);
+    }
+  }
+}
+
 }  // namespace detail
 
 /// y = A * x with the requested per-access verification level, for any
@@ -81,6 +165,15 @@ inline void commit_each(const std::vector<OperandCommit>& operands) {
 /// always fully protected — they change every iteration, so their checks
 /// cannot be deferred.
 ///
+/// x is verified once per pass: a pre-pass sweep decodes every x codeword
+/// group exactly once (correcting in place, one verifier thread per group),
+/// and the barrier closing it hands a clean-or-corrected x to the row loop,
+/// which gathers masked values with no per-access decode. x's log therefore
+/// gains exactly x.groups() checks per call at any thread count, and a fault
+/// in x is caught if it is present when the pass starts — including in groups
+/// no row reads. A flip landing in x *during* the pass is not checked until
+/// the next kernel that reads x, as with the crc32c-tile matrix layout.
+///
 /// Rows are processed in chunks of whole y codeword groups; the cursor owns
 /// the per-row decode order, so each format keeps its natural memory access
 /// pattern (CSR: row streams; ELL: unit-stride slab columns).
@@ -90,68 +183,28 @@ void spmv(PM& a, ProtectedVector<VS>& x, ProtectedVector<VS>& y,
   if (x.size() != a.ncols() || y.size() != a.nrows()) {
     throw std::invalid_argument("spmv: dimension mismatch");
   }
-  constexpr std::size_t G = VS::kGroup;
-  constexpr std::size_t kGroupsPerChunk = (detail::kSpmvChunkRows + G - 1) / G;
-  constexpr std::size_t kChunkRows = kGroupsPerChunk * G;
-  // SELL's chunk-local scatter assumes chunks stay at the shared granularity;
-  // every current vector-group size (1/2/4) divides it.
-  static_assert(kChunkRows == detail::kSpmvChunkRows,
-                "vector codeword group must divide the SpMV chunk size");
-  const std::size_t ngroups = y.groups();
-  const std::size_t nchunks = (ngroups + kGroupsPerChunk - 1) / kGroupsPerChunk;
   const std::size_t nrows = a.nrows();
+  const std::size_t nchunks = (nrows + detail::kSpmvChunkRows - 1) / detail::kSpmvChunkRows;
   ErrorCapture capture;    // matrix-region outcomes (cursor checks)
-  ErrorCapture x_capture;  // x's dense-vector group decodes
-  // Shared per-pass state: tile-decode arbitration for slab formats (empty
-  // for CSR) and at-most-once corrected reporting for the shared x vector.
+  ErrorCapture x_capture;  // x's pre-pass group decodes
+  // Shared per-pass tile-decode arbitration for slab formats (empty for CSR).
   typename MatrixTraits<PM>::cursor_type::pass_state pass(a);
-  CorrectedOnce x_once;
+  const auto xload = detail::x_loader(x);
 
 #pragma omp parallel
   {
     ErrorCapture local;    // this thread's matrix outcomes
     ErrorCapture x_local;  // this thread's x outcomes
+    detail::verify_x_pass(x, x_local);
     {
       typename MatrixTraits<PM>::cursor_type cursor(a, &local, &pass);
-      GroupReader<VS, 8> xr(x, &x_local, &x_once);
 
 #pragma omp for schedule(static)
       for (std::int64_t ci = 0; ci < static_cast<std::int64_t>(nchunks); ++ci) {
-        const std::size_t row0 = static_cast<std::size_t>(ci) * kChunkRows;
-        const std::size_t count = row0 < nrows ? std::min(kChunkRows, nrows - row0) : 0;
-        const auto run_chunk = [&](auto&& xload) {
-          if constexpr (G == 1) {
-            // Single-entry vector codewords: encode each row sum straight from
-            // the register (no intermediate buffer; storage has no padding rows).
-            cursor.accumulate(row0, count, mode, xload, [&](std::size_t i, double v) {
-              VS::encode_group(&v, y.data() + row0 + i);
-            });
-          } else {
-            double sums[kChunkRows] = {};  // group-padding rows stay zero
-            cursor.accumulate(row0, count, mode, xload,
-                              [&](std::size_t i, double v) { sums[i] = v; });
-            const std::size_t g0 = static_cast<std::size_t>(ci) * kGroupsPerChunk;
-            const std::size_t gend = std::min(g0 + kGroupsPerChunk, ngroups);
-            for (std::size_t g = g0; g < gend; ++g) {
-              VS::encode_group(sums + (g - g0) * G, y.data() + g * G);
-            }
-          }
-        };
-        if constexpr (VS::kScheme == ecc::Scheme::none) {
-          // Unprotected x: single-entry groups with no redundancy bits — the
-          // raw-gather marker lets slab cursors use the SIMD gather; no
-          // cache, no checks.
-          run_chunk(detail::RawXLoad{x.data()});
-        } else {
-          // Dropping cached x groups at every chunk boundary makes the decode
-          // (and check-count) pattern a pure function of the chunk, not of
-          // which chunks share a thread — the cross-thread-count determinism
-          // of x's accounting hangs on this.
-          xr.invalidate();
-          run_chunk([&](auto c) { return xr.get(static_cast<std::size_t>(c)); });
-        }
+        detail::spmv_chunk<VS>(cursor, static_cast<std::size_t>(ci), nrows, y.groups(),
+                               mode, xload, y.data());
       }
-    }  // cursor / reader destructors flush their check counters
+    }  // cursor destructor flushes its check counters
     capture.merge_from(local);
     x_capture.merge_from(x_local);
   }
@@ -177,11 +230,13 @@ void spmv(PM& a, ProtectedVector<VS>& x, ProtectedVector<VS>& y,
 /// trips over its masked index records a bounds violation, again exactly as
 /// a skip iteration would.)
 ///
-/// Vector accounting keeps per-request isolation: each x/y column carries
-/// its own ErrorCapture committed to its own FaultLog / DuePolicy, and each
-/// column's chunk-pure decode pattern matches its independent spmv()
-/// bit-for-bit. \p active (optional, size k, non-zero = solve) masks
-/// converged columns out of the batch without disturbing the others.
+/// Vector accounting keeps per-request isolation: each active x column is
+/// verified once per call by the same pre-pass sweep as spmv() (x.groups()
+/// checks per active column), into its own ErrorCapture committed to its own
+/// FaultLog / DuePolicy, so each column's log matches its independent
+/// spmv()'s bit-for-bit. \p active (optional, size k, non-zero = solve)
+/// masks converged columns out of the batch — neither read nor checked —
+/// without disturbing the others.
 template <ProtectedMatrixType PM, class VS>
 void spmm(PM& a, ProtectedMultiVector<VS>& x, ProtectedMultiVector<VS>& y,
           CheckMode mode = CheckMode::full,
@@ -194,81 +249,42 @@ void spmm(PM& a, ProtectedMultiVector<VS>& x, ProtectedMultiVector<VS>& y,
   if (x.size() != a.ncols() || y.size() != a.nrows()) {
     throw std::invalid_argument("spmm: dimension mismatch");
   }
-  bool any_active = false;
+  std::vector<std::size_t> cols;  // active columns, in fixed column order
   for (std::size_t j = 0; j < k; ++j) {
-    any_active |= active == nullptr || (*active)[j] != 0;
+    if (active == nullptr || (*active)[j] != 0) cols.push_back(j);
   }
-  if (!any_active) return;
-  constexpr std::size_t G = VS::kGroup;
-  constexpr std::size_t kGroupsPerChunk = (detail::kSpmvChunkRows + G - 1) / G;
-  constexpr std::size_t kChunkRows = kGroupsPerChunk * G;
-  static_assert(kChunkRows == detail::kSpmvChunkRows,
-                "vector codeword group must divide the SpMV chunk size");
-  const std::size_t ngroups = y.column(0).groups();
-  const std::size_t nchunks = (ngroups + kGroupsPerChunk - 1) / kGroupsPerChunk;
+  if (cols.empty()) return;
   const std::size_t nrows = a.nrows();
+  const std::size_t nchunks = (nrows + detail::kSpmvChunkRows - 1) / detail::kSpmvChunkRows;
   ErrorCapture capture;  // matrix-region outcomes — one full pass's worth
-  // Per-column x captures / corrected-once arbiters (deque: ErrorCapture and
-  // CorrectedOnce are pinned, non-movable types).
+  // Per-column x captures (deque: ErrorCapture is a pinned, non-movable type).
   std::deque<ErrorCapture> x_captures(k);
-  std::deque<CorrectedOnce> x_onces(k);
   typename MatrixTraits<PM>::cursor_type::pass_state pass(a);
 
 #pragma omp parallel
   {
     ErrorCapture local;
     std::deque<ErrorCapture> x_locals(k);
+    for (const std::size_t j : cols) detail::verify_x_pass(x.column(j), x_locals[j]);
     {
       typename MatrixTraits<PM>::cursor_type cursor(a, &local, &pass);
-      std::deque<GroupReader<VS, 8>> readers;
-      for (std::size_t j = 0; j < k; ++j) {
-        readers.emplace_back(x.column(j), &x_locals[j], &x_onces[j]);
-      }
 
 #pragma omp for schedule(static)
       for (std::int64_t ci = 0; ci < static_cast<std::int64_t>(nchunks); ++ci) {
-        const std::size_t row0 = static_cast<std::size_t>(ci) * kChunkRows;
-        const std::size_t count = row0 < nrows ? std::min(kChunkRows, nrows - row0) : 0;
         // The matrix data for this chunk is verified by the first active
-        // column's pass and is cache-hot for the k-1 guarded streams behind
-        // it; the column order is fixed, so which column carries the full
-        // pass is a pure function of the active mask, not of threading.
-        bool matrix_checked = false;
-        for (std::size_t j = 0; j < k; ++j) {
-          if (active != nullptr && (*active)[j] == 0) continue;
-          const CheckMode col_mode = matrix_checked ? CheckMode::bounds_only : mode;
-          matrix_checked = true;
-          double* const ydata = y.column(j).data();
-          const auto run_column = [&](auto&& xload) {
-            if constexpr (G == 1) {
-              cursor.accumulate(row0, count, col_mode, xload,
-                                [&](std::size_t i, double v) {
-                                  VS::encode_group(&v, ydata + row0 + i);
-                                });
-            } else {
-              double sums[kChunkRows] = {};  // group-padding rows stay zero
-              cursor.accumulate(row0, count, col_mode, xload,
-                                [&](std::size_t i, double v) { sums[i] = v; });
-              const std::size_t g0 = static_cast<std::size_t>(ci) * kGroupsPerChunk;
-              const std::size_t gend = std::min(g0 + kGroupsPerChunk, ngroups);
-              for (std::size_t g = g0; g < gend; ++g) {
-                VS::encode_group(sums + (g - g0) * G, ydata + g * G);
-              }
-            }
-          };
-          if constexpr (VS::kScheme == ecc::Scheme::none) {
-            run_column(detail::RawXLoad{x.column(j).data()});
-          } else {
-            // Chunk-pure decode pattern per column (see spmv).
-            auto& xr = readers[j];
-            xr.invalidate();
-            run_column([&](auto c) { return xr.get(static_cast<std::size_t>(c)); });
-          }
+        // column's pass and is cache-hot for the guarded streams behind it;
+        // the column order is fixed, so which column carries the full pass
+        // is a pure function of the active mask, not of threading.
+        for (const std::size_t j : cols) {
+          detail::spmv_chunk<VS>(cursor, static_cast<std::size_t>(ci), nrows,
+                                 y.column(j).groups(),
+                                 j == cols.front() ? mode : CheckMode::bounds_only,
+                                 detail::x_loader(x.column(j)), y.column(j).data());
         }
       }
-    }  // cursor / reader destructors flush their check counters
+    }  // cursor destructor flushes its check counters
     capture.merge_from(local);
-    for (std::size_t j = 0; j < k; ++j) x_captures[j].merge_from(x_locals[j]);
+    for (const std::size_t j : cols) x_captures[j].merge_from(x_locals[j]);
   }
   std::vector<detail::OperandCommit> commits;
   commits.reserve(k + 1);

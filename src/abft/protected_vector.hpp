@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <span>
 
-#include "abft/error_capture.hpp"
 #include "abft/vector_schemes.hpp"
 #include "common/aligned.hpp"
 #include "common/fault_log.hpp"
@@ -24,9 +23,9 @@ namespace abft {
 /// the embedded ECC bits.
 ///
 /// Element-wise load()/store() are convenience (slow) paths that decode and
-/// re-encode a whole group per call; kernels should use GroupReader /
-/// GroupWriter or the group-aware kernels in protected_kernels.hpp, which is
-/// exactly the adaptation the paper describes for removing RMWs.
+/// re-encode a whole group per call; use GroupReader / GroupWriter or the
+/// group-aware kernels in protected_kernels.hpp, which is exactly the
+/// adaptation the paper describes for removing RMWs.
 template <class S>
 class ProtectedVector {
  public:
@@ -173,47 +172,23 @@ class ProtectedVector {
 /// so neighbouring accesses — unit-stride scans and the three row-streams of
 /// the five-point stencil — do not re-run the integrity check per element).
 ///
-/// One instance per thread; \p Slots groups are kept decoded, direct-mapped
-/// by group index.
+/// Serial helper: \p Slots groups are kept decoded, direct-mapped by group
+/// index, and every miss routes its outcome through ProtectedVector::handle
+/// (which counts the check and may throw). The parallel kernels do not use
+/// it — they verify x once per pass and then read masked storage.
 template <class S, std::size_t Slots = 8>
 class GroupReader {
  public:
   static constexpr std::size_t kGroup = S::kGroup;
 
-  /// With \p capture == nullptr, check outcomes are routed through
-  /// ProtectedVector::handle (which may throw). Inside OpenMP kernels pass an
-  /// ErrorCapture so errors are deferred past the parallel region, and a
-  /// shared CorrectedOnce so a faulty group repaired concurrently by several
-  /// threads is reported exactly once (the repair itself is idempotent — every
-  /// decoder writes the same corrected bytes — only the report needs
-  /// arbitration).
-  explicit GroupReader(ProtectedVector<S>& v, ErrorCapture* capture = nullptr,
-                       CorrectedOnce* once = nullptr) noexcept
-      : v_(&v), capture_(capture), once_(once) {
-    tags_.fill(kEmpty);
-  }
-
-  ~GroupReader() { flush_checks(); }
-
-  GroupReader(const GroupReader&) = delete;
-  GroupReader& operator=(const GroupReader&) = delete;
+  explicit GroupReader(ProtectedVector<S>& v) noexcept : v_(&v) { tags_.fill(kEmpty); }
 
   /// Masked value at index \p i, decoding the containing group on miss.
   [[nodiscard]] double get(std::size_t i) {
     const std::size_t g = i / kGroup;
     const std::size_t slot = g % Slots;
     if (tags_[slot] != g) {
-      const auto outcome = S::decode_group(v_->data() + g * kGroup,
-                                           decoded_[slot].data());
-      if (capture_ != nullptr) {
-        ++local_checks_;
-        if (outcome != CheckOutcome::corrected || once_ == nullptr ||
-            once_->claim(g)) {
-          capture_->record(Region::dense_vector, outcome, g);
-        }
-      } else {
-        v_->handle(outcome, g);  // counts the check in the vector's log
-      }
+      v_->handle(S::decode_group(v_->data() + g * kGroup, decoded_[slot].data()), g);
       tags_[slot] = g;
     }
     return decoded_[slot][i % kGroup];
@@ -222,21 +197,9 @@ class GroupReader {
   /// Drop all cached groups (call when the underlying vector changes).
   void invalidate() noexcept { tags_.fill(kEmpty); }
 
-  /// Add the locally-counted integrity checks to the capture (the counter is
-  /// kept thread-local to avoid an atomic per group decode in hot loops).
-  void flush_checks() noexcept {
-    if (capture_ != nullptr && local_checks_ > 0) {
-      capture_->add_checks(local_checks_);
-    }
-    local_checks_ = 0;
-  }
-
  private:
   static constexpr std::size_t kEmpty = static_cast<std::size_t>(-1);
   ProtectedVector<S>* v_;
-  ErrorCapture* capture_;
-  CorrectedOnce* once_ = nullptr;
-  std::uint64_t local_checks_ = 0;
   std::array<std::size_t, Slots> tags_{};
   std::array<std::array<double, kGroup>, Slots> decoded_{};
 };

@@ -25,10 +25,9 @@ namespace abft::detail {
 
 /// x-load callable over a bare dense array (no vector scheme, no group
 /// decode). The type is a marker as much as a closure: cursors test
-/// kIsRawXLoad to know the gather has no side effects and no per-access
-/// checks, which is what licenses the SIMD gather on the ELL slab-column
-/// fast path (a GroupReader-backed load can cache-fill and record, so it can
-/// never be vectorised).
+/// kIsRawXLoad to know x needs no per-element transform, which is what
+/// licenses the SIMD gather on the ELL slab-column fast path (a protected x
+/// is read through a masking load that the gather kernel does not apply).
 struct RawXLoad {
   const double* x;
   template <class C>

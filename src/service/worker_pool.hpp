@@ -40,6 +40,10 @@
 #include "common/timer.hpp"
 #include "obs/service_metrics.hpp"
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 namespace abft::service {
 
 /// Replays commit sections in batch-sequence order: commit(s, fn) blocks
@@ -134,6 +138,9 @@ class WorkerPool {
       : pop_(std::move(pop)),
         solve_(std::move(solve)),
         commit_(std::move(commit)) {
+#ifdef _OPENMP
+    omp_threads_ = omp_get_max_threads();
+#endif
     const std::size_t n = nworkers == 0 ? 1 : nworkers;
     obs::pool_size(static_cast<std::int64_t>(n));
     workers_.reserve(n);
@@ -166,6 +173,12 @@ class WorkerPool {
 
  private:
   void run(std::size_t worker) {
+#ifdef _OPENMP
+    // The OpenMP team size is a per-thread setting and a fresh std::thread
+    // starts from OMP_NUM_THREADS, not from what its creator chose: hand the
+    // creator's setting on, so every solve runs the team it was asked for.
+    omp_set_num_threads(omp_threads_);
+#endif
     // Utilization telemetry is per-worker (labeled series) and strictly
     // observational: the pop/solve/commit sequence is identical with obs
     // compiled out, so batch composition and commit order cannot drift.
@@ -204,6 +217,9 @@ class WorkerPool {
   OrderedCommitter committer_;
   std::mutex error_mu_;
   std::exception_ptr first_error_;
+#ifdef _OPENMP
+  int omp_threads_ = 1;  ///< the creator's OpenMP team size
+#endif
   std::vector<std::thread> workers_;
 };
 

@@ -1,16 +1,21 @@
 // Protected kernels vs raw reference kernels: SpMV across all scheme
-// combinations and check modes, BLAS-1 ops across vector schemes, and error
-// propagation out of the OpenMP regions (paper §VI-C).
+// combinations and check modes, BLAS-1 ops across vector schemes, error
+// propagation out of the OpenMP regions (paper §VI-C), and the SpMV/SpMM
+// x contract (verify every group once per pass, then read masked storage).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <deque>
+#include <type_traits>
 #include <vector>
 
 #include "abft/abft.hpp"
 #include "common/rng.hpp"
 #include "faults/injector.hpp"
+#include "sparse/ell.hpp"
 #include "sparse/generators.hpp"
+#include "sparse/sell.hpp"
 #include "sparse/transform.hpp"
 #include "sparse/vector_ops.hpp"
 
@@ -413,6 +418,169 @@ TEST(KernelFaults, CorruptRowPtrInBoundsOnlyModeIsCaught) {
   pa.raw_row_ptr()[40] = 0x7FFFFFFEu;  // masked -> way past nnz
   spmv(pa, x, y, CheckMode::bounds_only);
   EXPECT_GE(log.bounds_violations(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The x contract of spmv/spmm: every x codeword group is verified once per
+// pass, ahead of the row loop, and the loop then reads masked storage.
+// ---------------------------------------------------------------------------
+
+using XCsr = ProtectedCsr<std::uint32_t, ElemSecded, RowSecded64>;
+using XEll = ProtectedEll<std::uint32_t, schemes::ElemSecded<std::uint32_t>,
+                          schemes::StructSecded<std::uint32_t>>;
+using XSell = ProtectedSell<std::uint32_t, schemes::ElemSecded<std::uint32_t>,
+                            schemes::StructSecded<std::uint32_t>>;
+
+/// The 12x8 Laplacian (96 rows) widened by 16 columns no row reads: the
+/// trailing x groups exist but are never gathered.
+sparse::CsrMatrix laplacian_with_unread_columns() {
+  const auto a = sparse::laplacian_2d(12, 8);
+  sparse::CsrMatrix wide(a.nrows(), a.ncols() + 16);
+  wide.values() = a.values();
+  wide.cols() = a.cols();
+  wide.row_ptr() = a.row_ptr();
+  return wide;
+}
+
+template <class PM>
+auto plain_as(const sparse::CsrMatrix& a) {
+  if constexpr (std::is_same_v<PM, XCsr>) {
+    return a;
+  } else if constexpr (std::is_same_v<PM, XEll>) {
+    return sparse::Ell<std::uint32_t>::from_csr(a);
+  } else {
+    return sparse::Sell<std::uint32_t>::from_csr(a);
+  }
+}
+
+template <class VS>
+std::vector<double> masked_inputs(std::size_t n, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<double> v(n);
+  for (auto& e : v) e = VS::mask(rng.uniform(-2, 2));
+  return v;
+}
+
+template <class VS>
+std::vector<std::uint64_t> storage_bits(const ProtectedVector<VS>& v) {
+  std::vector<std::uint64_t> bits;
+  for (const double e : v.raw()) bits.push_back(double_to_bits(e));
+  return bits;
+}
+
+/// A single-bit fault in an x group no row reads: the pre-pass still finds
+/// it, repairs the storage to its encoded bits and logs exactly one
+/// correction at that group — in spmv, and in the faulty column of an spmm.
+template <class PM, class VS>
+void expect_unread_group_fault_corrected_once() {
+  const auto wide = laplacian_with_unread_columns();
+  const auto plain = plain_as<PM>(wide);
+  auto p = PM::from_plain(plain);
+  const std::size_t unread = wide.nrows() + 5;  // element inside the unread tail
+  const std::size_t group = unread / VS::kGroup;
+  const auto xraw = masked_inputs<VS>(wide.ncols(), 41);
+
+  FaultLog clean_log, xlog;
+  ProtectedVector<VS> x(wide.ncols(), &clean_log), y(wide.nrows());
+  x.assign(xraw);
+  spmv(p, x, y);
+  const auto clean_y = storage_bits(y);
+  const auto clean_x = storage_bits(x);
+  ASSERT_EQ(clean_log.checks(), x.groups());
+
+  ProtectedVector<VS> xf(wide.ncols(), &xlog, DuePolicy::throw_exception);
+  xf.assign(xraw);
+  corrupt_vector(xf, 64 * unread + 30);
+  ASSERT_NE(storage_bits(xf), clean_x);
+  spmv(p, xf, y);
+  EXPECT_EQ(storage_bits(xf), clean_x) << "repaired in place";
+  EXPECT_EQ(storage_bits(y), clean_y);
+  EXPECT_EQ(xlog.checks(), xf.groups());
+  EXPECT_EQ(xlog.corrected(), 1u);
+  EXPECT_EQ(xlog.uncorrectable(), 0u);
+  const auto events = xlog.events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].region, Region::dense_vector);
+  EXPECT_EQ(events[0].outcome, CheckOutcome::corrected);
+  EXPECT_EQ(events[0].index, group);
+
+  std::deque<FaultLog> col_logs(2);
+  ProtectedMultiVector<VS> xm(wide.ncols()), ym(wide.nrows());
+  for (std::size_t j = 0; j < 2; ++j) {
+    xm.add_column(&col_logs[j], DuePolicy::throw_exception).assign(xraw);
+    ym.add_column();
+  }
+  corrupt_vector(xm.column(1), 64 * unread + 30);
+  spmm(p, xm, ym);
+  for (std::size_t j = 0; j < 2; ++j) {
+    EXPECT_EQ(storage_bits(xm.column(j)), clean_x) << "column " << j;
+    EXPECT_EQ(storage_bits(ym.column(j)), clean_y) << "column " << j;
+    EXPECT_EQ(col_logs[j].checks(), xf.groups()) << "column " << j;
+  }
+  EXPECT_EQ(col_logs[0].corrected(), 0u);
+  EXPECT_EQ(col_logs[1].corrected(), 1u);
+  ASSERT_EQ(col_logs[1].events().size(), 1u);
+  EXPECT_EQ(col_logs[1].events()[0].index, group);
+}
+
+TEST(XVerifyOnce, FaultInAnUnreadGroupIsCorrectedAndLoggedOnce) {
+  expect_unread_group_fault_corrected_once<XCsr, VecSecded64>();
+  expect_unread_group_fault_corrected_once<XCsr, VecSecded128>();
+  expect_unread_group_fault_corrected_once<XCsr, VecCrc32c>();
+  expect_unread_group_fault_corrected_once<XEll, VecSecded64>();
+  expect_unread_group_fault_corrected_once<XEll, VecCrc32c>();
+  expect_unread_group_fault_corrected_once<XSell, VecSecded64>();
+  expect_unread_group_fault_corrected_once<XSell, VecCrc32c>();
+}
+
+/// y bits of the protected-x kernel equal the unprotected (VecNone, raw
+/// gather) kernel's on the same masked inputs, at both check modes — and,
+/// for correcting schemes, still do after a single-bit fault in a group
+/// the rows read. Masked reads after the pre-pass are bit-for-bit the
+/// values the decode would have produced.
+template <class PM, class VS>
+void expect_masked_reads_match_unprotected_x() {
+  const auto a = laplacian_with_unread_columns();
+  auto p = PM::from_plain(plain_as<PM>(a));
+  const auto xraw = masked_inputs<VS>(a.ncols(), 43);
+  for (const CheckMode mode : {CheckMode::full, CheckMode::bounds_only}) {
+    ProtectedVector<VecNone> xn(a.ncols()), yn(a.nrows());
+    xn.assign(xraw);
+    spmv(p, xn, yn, mode);
+    std::vector<std::uint64_t> want;
+    for (const double v : yn.raw()) want.push_back(double_to_bits(VS::mask(v)));
+
+    for (const bool faulty : {false, true}) {
+      if (faulty && VS::kScheme == ecc::Scheme::sed) continue;  // detects, cannot correct
+      FaultLog xlog;
+      ProtectedVector<VS> x(a.ncols(), &xlog, DuePolicy::throw_exception), y(a.nrows());
+      x.assign(xraw);
+      if (faulty) corrupt_vector(x, 64 * 17 + 40);  // column 17: read by rows 5, 16-18, 29
+      spmv(p, x, y, mode);
+      std::vector<double> got(a.nrows());
+      y.extract(got);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(double_to_bits(got[i]), want[i])
+            << "y[" << i << "] faulty=" << faulty << " mode=" << static_cast<int>(mode);
+      }
+      EXPECT_EQ(xlog.corrected(), faulty ? 1u : 0u);
+    }
+  }
+}
+
+template <class VS>
+void expect_masked_reads_match_unprotected_x_all_formats() {
+  expect_masked_reads_match_unprotected_x<XCsr, VS>();
+  expect_masked_reads_match_unprotected_x<XEll, VS>();
+  expect_masked_reads_match_unprotected_x<XSell, VS>();
+}
+
+TEST(XVerifyOnce, MaskedReadsMatchTheUnprotectedKernelBitForBit) {
+  expect_masked_reads_match_unprotected_x_all_formats<VecSed>();
+  expect_masked_reads_match_unprotected_x_all_formats<VecSecded64>();
+  expect_masked_reads_match_unprotected_x_all_formats<VecSecded128>();
+  expect_masked_reads_match_unprotected_x_all_formats<VecCrc32c>();
 }
 
 TEST(KernelShapes, DimensionMismatchesThrow) {

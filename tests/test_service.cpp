@@ -3,8 +3,9 @@
 // promise of the worker fleet — bit-identical results, per-tenant logs and
 // shared matrix log at 1, 2 and 4 workers, clean and under injected faults.
 //
-// Everything here runs on raw std::threads (no OpenMP pragmas of its own),
-// so the whole binary is TSan-compatible: the CI thread-sanitizer job runs
+// Everything here runs on raw std::threads (no OpenMP pragmas of its own;
+// one case reads and sets the team size the pool hands its workers), so the
+// whole binary is TSan-compatible: the CI thread-sanitizer job runs
 // it alongside the ThreadStress suites of test_thread_determinism.
 #include <gtest/gtest.h>
 
@@ -30,6 +31,10 @@
 #include "solvers/solvers.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/transform.hpp"
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 namespace {
 
@@ -303,6 +308,34 @@ TEST(WorkerPool, JoinRethrowsTheFirstWorkerException) {
   // The failed batch's sequence number still advanced, so the surviving
   // worker drained everything behind it instead of deadlocking.
   EXPECT_GE(committed.load(), 12u - 2u);
+}
+
+TEST(WorkerPool, SolvesRunTheCreatorsOpenMpTeamSize) {
+#ifdef _OPENMP
+  // Workers are fresh std::threads, which start from OMP_NUM_THREADS rather
+  // than from the creator's omp_set_num_threads: the pool must carry the
+  // creator's team size over, or `--threads T` never reaches the fleet.
+  const int saved = omp_get_max_threads();
+  for (const int team : {1, 3}) {
+    omp_set_num_threads(team);
+    service::BatchQueue<int> queue(16);
+    for (int i = 0; i < 8; ++i) ASSERT_TRUE(queue.push(i));
+    queue.close();
+    std::vector<int> seen;
+    service::WorkerPool pool(
+        2, [&](std::uint64_t* seq) { return queue.pop_batch(1, seq); },
+        [](std::uint64_t, std::vector<int>&) { return omp_get_max_threads(); },
+        [&](std::uint64_t, std::vector<int>&, int& team_seen) {
+          seen.push_back(team_seen);
+        });
+    pool.join();
+    ASSERT_EQ(seen.size(), 8u);
+    for (const int t : seen) EXPECT_EQ(t, team) << "creator set " << team;
+  }
+  omp_set_num_threads(saved);
+#else
+  GTEST_SKIP() << "built without OpenMP";
+#endif
 }
 
 // ---------------------------------------------------------------------------

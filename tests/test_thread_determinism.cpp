@@ -8,7 +8,7 @@
 // the chunk counts) and compare every observable against the 1-thread run.
 //
 // The ThreadStress suites at the bottom drive the synchronization primitives
-// themselves (TileClaimTable, ErrorCapture::merge_from, CorrectedOnce) with
+// themselves (TileClaimTable, ErrorCapture::merge_from, BatchQueue) with
 // raw std::thread — no OpenMP — so a ThreadSanitizer build can watch the
 // exact acquire/release handshakes the kernels rely on without libgomp's
 // uninstrumented internals drowning the report in false positives.
@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -81,22 +82,6 @@ TEST(ThreadStress, TileClaimTableElectsExactlyOneWinnerPerTile) {
       ASSERT_EQ(winners[t].load(), 1) << "tile " << t << " rep " << rep;
     }
     ASSERT_EQ(stale_reads.load(), 0) << "rep " << rep;
-  }
-}
-
-TEST(ThreadStress, CorrectedOnceClaimsEachGroupExactlyOnce) {
-  constexpr std::size_t kGroups = 200;
-  for (int rep = 0; rep < 20; ++rep) {
-    CorrectedOnce once;
-    std::vector<std::atomic<int>> granted(kGroups);
-    run_threads(kStressThreads, [&](int) {
-      for (std::size_t g = 0; g < kGroups; ++g) {
-        if (once.claim(g)) granted[g].fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-    for (std::size_t g = 0; g < kGroups; ++g) {
-      ASSERT_EQ(granted[g].load(), 1) << "group " << g << " rep " << rep;
-    }
   }
 }
 
@@ -381,8 +366,9 @@ TEST(ThreadDeterminism, SellTileFaults) {
 
 TEST(ThreadDeterminism, XVectorCorrectionRecordedOnce) {
   // A fault in the shared x vector: multiple chunks read the same faulty
-  // group, but CorrectedOnce must keep the log identical to the serial run
-  // (exactly one corrected record) at every thread count.
+  // group, but the once-per-pass x sweep gives it exactly one verifier, so
+  // the log matches the serial run (one corrected record) at every thread
+  // count.
   const auto a = sparse::laplacian_2d(37, 23);
   using PM = ProtectedCsr<std::uint32_t, ElemNone, RowNone>;
   expect_thread_count_invariant_spmv<PM, VecSecded64>(a, [](auto&, auto& x) {
@@ -539,8 +525,8 @@ TEST(ThreadDeterminism, SpmmCsrSecdedWithMatrixAndColumnFaults) {
   expect_thread_count_invariant_spmm<PM, VecSecded64>(a, 4, [](auto&, auto&) {});
   expect_thread_count_invariant_spmm<PM, VecSecded64>(a, 4, [](auto& p, auto& x) {
     flip_value_bit(p, 64 * 1000 + 19);  // corrected by the single full pass
-    // Plus a fault in one column's x: CorrectedOnce keeps that column's log
-    // serial-identical while the other columns stay clean.
+    // Plus a fault in one column's x: its once-per-pass sweep keeps that
+    // column's log serial-identical while the other columns stay clean.
     auto raw = x.column(2).raw();
     faults::flip_bit({reinterpret_cast<std::uint8_t*>(raw.data()), raw.size_bytes()},
                      64 * 3 + 17);
@@ -555,6 +541,64 @@ TEST(ThreadDeterminism, SpmmEllTileFaultStraddlingChunkBoundary) {
   expect_thread_count_invariant_spmm<PM, VecNone>(a, 3, [](auto& p, auto&) {
     flip_value_bit(p, 64 * 70 + 13);  // tile shared by two chunks
   });
+}
+
+/// x is verified by one sweep per pass: its log gains exactly x.groups()
+/// checks per spmv (either check mode) and per *active* column per spmm —
+/// an inactive column is neither read nor checked — at every thread count.
+template <class PM, class VS, class Plain>
+void expect_x_checks_one_sweep_per_pass(const Plain& plain) {
+  ThreadCountGuard guard;
+  for (int nthreads : kThreadCounts) {
+    SCOPED_TRACE(std::to_string(nthreads) + " threads");
+    omp_set_num_threads(nthreads);
+    auto p = PM::from_plain(plain);
+    FaultLog xlog;
+    ProtectedVector<VS> x(plain.ncols(), &xlog), y(plain.nrows());
+    fill(x, 1.0);
+    const std::uint64_t g = x.groups();
+    spmv(p, x, y);
+    EXPECT_EQ(xlog.checks(), g);
+    spmv(p, x, y, CheckMode::bounds_only);
+    EXPECT_EQ(xlog.checks(), 2 * g);
+
+    std::deque<FaultLog> logs(3);
+    ProtectedMultiVector<VS> xm(plain.ncols()), ym(plain.nrows());
+    for (std::size_t j = 0; j < 3; ++j) {
+      fill(xm.add_column(&logs[j]), 1.0 + static_cast<double>(j));
+      ym.add_column();
+    }
+    const std::vector<std::uint8_t> active{1, 0, 1};
+    spmm(p, xm, ym, CheckMode::full, &active);
+    EXPECT_EQ(logs[0].checks(), g);
+    EXPECT_EQ(logs[1].checks(), 0u);
+    EXPECT_EQ(logs[2].checks(), g);
+    spmm(p, xm, ym, CheckMode::bounds_only);
+    EXPECT_EQ(logs[0].checks(), 2 * g);
+    EXPECT_EQ(logs[1].checks(), g);
+    EXPECT_EQ(logs[2].checks(), 2 * g);
+  }
+}
+
+template <class VS>
+void expect_x_checks_one_sweep_per_pass_all_formats() {
+  // 851 rows: 14 x-sweep blocks of single-entry groups, 4 of crc32c groups
+  // (7 threads divides neither).
+  const auto a = sparse::laplacian_2d(37, 23);
+  using SE = schemes::ElemSecded<std::uint32_t>;
+  using SS = schemes::StructSecded<std::uint32_t>;
+  expect_x_checks_one_sweep_per_pass<ProtectedCsr<std::uint32_t, ElemSecded, RowSecded64>,
+                                     VS>(a);
+  expect_x_checks_one_sweep_per_pass<ProtectedEll<std::uint32_t, SE, SS>, VS>(
+      sparse::Ell<std::uint32_t>::from_csr(a));
+  expect_x_checks_one_sweep_per_pass<ProtectedSell<std::uint32_t, SE, SS>, VS>(
+      sparse::Sell<std::uint32_t>::from_csr(a));
+}
+
+TEST(ThreadDeterminism, XChecksAreOneSweepPerPassAtEveryThreadCount) {
+  expect_x_checks_one_sweep_per_pass_all_formats<VecSed>();
+  expect_x_checks_one_sweep_per_pass_all_formats<VecSecded64>();
+  expect_x_checks_one_sweep_per_pass_all_formats<VecCrc32c>();
 }
 
 TEST(ThreadDeterminism, CgSolveBatchIsBitwiseThreadCountInvariant) {
