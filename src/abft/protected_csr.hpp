@@ -19,9 +19,9 @@
 #include "abft/check_policy.hpp"
 #include "abft/element_schemes.hpp"
 #include "abft/error_capture.hpp"
-#include "abft/raw_spmv.hpp"
 #include "abft/row_schemes.hpp"
 #include "abft/scheme_errors.hpp"
+#include "abft/spmv_chunk.hpp"
 #include "common/aligned.hpp"
 #include "common/fault_log.hpp"
 #include "sparse/csr.hpp"
@@ -31,13 +31,12 @@ namespace abft {
 namespace detail {
 
 /// Accumulate one protected CSR row into a dot product, with x accessed
-/// through \p xload. This is the single decode/range-guard loop behind both
-/// SpMV surfaces — the raw-span ProtectedCsr::spmv member and the
-/// protected-vector kernel in protected_kernels.hpp — so check and guard
-/// semantics cannot diverge between them. In CheckMode::full every element
-/// is verified (per element, or per row for row-granular schemes); in
-/// bounds_only the integrity checks are skipped but every column index is
-/// still range-guarded (paper §VI-A2).
+/// through \p xload: CsrRowCursor's per-row decode/range-guard loop, which
+/// the one SpMV pass driver in protected_kernels.hpp runs for spmv and for
+/// every spmm column alike. In CheckMode::full every element is verified
+/// (per element, or per row for row-granular schemes); in bounds_only the
+/// integrity checks are skipped but every column index is still
+/// range-guarded (paper §VI-A2).
 template <class ES, class Index, class XLoad>
 [[nodiscard]] double protected_row_sum(double* values, Index* cols, std::size_t begin,
                                        std::size_t end, std::size_t ncols, std::size_t r,
@@ -185,10 +184,10 @@ class ProtectedCsr {
     p.log_ = log;
     p.policy_ = policy;
 
-    // Elements: copy + encode in the same aligned 64-row static partition the
-    // SpMV drivers later read with. The storage is uninitialised until this
-    // loop writes it, so on a first-touch NUMA policy each page lands on the
-    // node of the thread that will stream it.
+    // Elements: copy + encode in the same aligned 64-row static partition
+    // the SpMV pass driver later reads with. The storage is uninitialised
+    // until this loop writes it, so on a first-touch NUMA policy each page
+    // lands on the node of the thread that will stream it.
     p.values_.resize(p.nnz_);
     p.cols_.resize(p.nnz_);
     const std::size_t nrows = a.nrows();
@@ -344,14 +343,6 @@ class ProtectedCsr {
       return {v, c};
     }
   }
-
-  /// y = A x over raw dense spans (for callers that do not protect their
-  /// vectors — e.g. wide-index operators partnered with distributed vectors).
-  /// CheckMode semantics match the free protected-kernel spmv: bounds_only
-  /// skips the integrity checks but still range-guards every index.
-  /// Defined after RowPtrReader below.
-  void spmv(std::span<const double> x, std::span<double> y,
-            CheckMode mode = CheckMode::full);
 
   /// Full-matrix integrity sweep (paper: run at the end of every time-step
   /// in check-interval mode so no error escapes unnoticed). Returns the
@@ -624,12 +615,5 @@ class CsrRowCursor {
   std::size_t ncols_;
   std::uint64_t checks_ = 0;
 };
-
-template <class Index, class ES, class RS>
-void ProtectedCsr<Index, ES, RS>::spmv(std::span<const double> x, std::span<double> y,
-                                       CheckMode mode) {
-  detail::chunked_raw_spmv<CsrRowCursor<Index, ES, RS>>(*this, x, y, mode,
-                                                        "ProtectedCsr::spmv");
-}
 
 }  // namespace abft

@@ -35,7 +35,7 @@
 #include "abft/check_policy.hpp"
 #include "abft/element_schemes.hpp"
 #include "abft/error_capture.hpp"
-#include "abft/raw_spmv.hpp"
+#include "abft/spmv_chunk.hpp"
 #include "abft/structure_schemes.hpp"
 #include "abft/tile_check.hpp"
 #include "common/aligned.hpp"
@@ -281,13 +281,6 @@ class ProtectedEll {
       return {v, c};
     }
   }
-
-  /// y = A x over raw dense spans (for callers that do not protect their
-  /// vectors). CheckMode semantics match the free protected-kernel spmv:
-  /// bounds_only skips the integrity checks but still range-guards every
-  /// width and column index. Defined after EllRowCursor below.
-  void spmv(std::span<const double> x, std::span<double> y,
-            CheckMode mode = CheckMode::full);
 
   /// Full-matrix integrity sweep (paper §VI-A2). Returns the number of
   /// uncorrectable codewords; corrections are applied in place. Under
@@ -722,12 +715,5 @@ class EllRowCursor {
   std::size_t width_;
   std::uint64_t checks_ = 0;
 };
-
-template <class Index, class ES, class SS>
-void ProtectedEll<Index, ES, SS>::spmv(std::span<const double> x, std::span<double> y,
-                                       CheckMode mode) {
-  detail::chunked_raw_spmv<EllRowCursor<Index, ES, SS>>(*this, x, y, mode,
-                                                        "ProtectedEll::spmv");
-}
 
 }  // namespace abft

@@ -11,11 +11,12 @@
 /// — the verify-then-masked-read contract the crc32c-tile matrix layout
 /// already follows.
 ///
-/// The SpMV kernel is format-generic: it drives the per-thread row cursor
-/// published through MatrixTraits (abft/format_traits.hpp) and never touches
-/// a container's internals, so one kernel serves ProtectedCsr and
-/// ProtectedEll at either index width — and any future format that supplies
-/// a cursor.
+/// SpMV and SpMM are one format-generic pass driver, spmv_columns(): spmv is
+/// its one-column call, spmm its k-column call. It drives the per-thread row
+/// cursor published through MatrixTraits (abft/format_traits.hpp) and never
+/// touches a container's internals, so one kernel serves ProtectedCsr,
+/// ProtectedEll and ProtectedSell at either index width — and any future
+/// format that supplies a cursor.
 ///
 /// Error handling: outcomes are collected per operand in ErrorCaptures
 /// during the OpenMP region and committed afterwards to each operand's own
@@ -28,7 +29,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -36,7 +37,7 @@
 #include "abft/format_traits.hpp"
 #include "abft/protected_multivector.hpp"
 #include "abft/protected_vector.hpp"
-#include "abft/raw_spmv.hpp"
+#include "abft/spmv_chunk.hpp"
 
 namespace abft {
 
@@ -59,12 +60,6 @@ struct OperandCommit {
 /// accounting; when multiple operands hold a DUE, the first in argument
 /// order raises.
 inline void commit_each(std::initializer_list<OperandCommit> operands) {
-  for (const auto& op : operands) op.capture->commit(op.log, DuePolicy::record_only);
-  for (const auto& op : operands) op.capture->commit(nullptr, op.policy);
-}
-
-/// Runtime-sized variant for the batched kernels (one operand per column).
-inline void commit_each(const std::vector<OperandCommit>& operands) {
   for (const auto& op : operands) op.capture->commit(op.log, DuePolicy::record_only);
   for (const auto& op : operands) op.capture->commit(nullptr, op.policy);
 }
@@ -95,8 +90,10 @@ template <class VS>
 }
 
 /// Verify every codeword group of \p x exactly once, correcting in place and
-/// recording into the calling thread's \p capture. Must be reached by every
-/// thread of the enclosing parallel region: the orphaned worksharing loop
+/// recording into x's \p capture, which the whole team shares (its counters
+/// add and its exemplars take the minimum, so the result is independent of
+/// the thread split, as in dot()). Must be reached by every thread of the
+/// enclosing parallel region: the orphaned worksharing loop
 /// splits the groups in static kSpmvChunkRows-group blocks, and its implicit
 /// barrier guarantees no thread gathers from x before x is clean. Each group
 /// has exactly one verifier, so x's check count is x.groups() and each fault
@@ -153,8 +150,79 @@ void spmv_chunk(Cursor& cursor, std::size_t ci, std::size_t nrows, std::size_t n
 
 }  // namespace detail
 
+/// One column of an SpMV pass: y = A * x over protected vectors.
+template <class VS>
+struct SpmvColumn {
+  ProtectedVector<VS>* x;
+  ProtectedVector<VS>* y;
+};
+
+/// The one SpMV pass driver: y_j = A * x_j for every listed column, in a
+/// single parallel region that spmv() (one column) and spmm() (the active
+/// columns of a batch) both run through.
+///
+/// Every x_j is verified once per pass by verify_x_pass, recording straight
+/// into that column's own ErrorCapture (committed to x_j's FaultLog /
+/// DuePolicy, so each column's log matches its independent spmv()'s
+/// bit-for-bit). Then, per 64-row chunk, the *first* listed column runs at
+/// \p mode and the rest stream the same chunk in CheckMode::bounds_only —
+/// see spmm() for why that charges the matrix exactly one pass. The column
+/// order is the caller's, so which column carries the full pass is a pure
+/// function of the list, never of threading.
+template <ProtectedMatrixType PM, class VS>
+void spmv_columns(PM& a, std::span<const SpmvColumn<VS>> cols, CheckMode mode) {
+  for (const auto& c : cols) {
+    if (c.x->size() != a.ncols() || c.y->size() != a.nrows()) {
+      throw std::invalid_argument("spmv: dimension mismatch");
+    }
+  }
+  if (cols.empty()) return;
+  const std::size_t nrows = a.nrows();
+  const std::size_t nchunks = (nrows + detail::kSpmvChunkRows - 1) / detail::kSpmvChunkRows;
+  ErrorCapture capture;  // matrix-region outcomes — one full pass's worth
+  // One x capture per column (ErrorCapture is pinned, so sized once); the
+  // lone column of spmv() needs no heap.
+  ErrorCapture x_single;
+  std::vector<ErrorCapture> x_many(cols.size() > 1 ? cols.size() : 0);
+  ErrorCapture* const x_captures = cols.size() > 1 ? x_many.data() : &x_single;
+  // Shared per-pass tile-decode arbitration for slab formats (empty for CSR).
+  typename MatrixTraits<PM>::cursor_type::pass_state pass(a);
+
+#pragma omp parallel
+  {
+    for (std::size_t j = 0; j < cols.size(); ++j) {
+      detail::verify_x_pass(*cols[j].x, x_captures[j]);
+    }
+    ErrorCapture local;  // this thread's matrix outcomes
+    {
+      typename MatrixTraits<PM>::cursor_type cursor(a, &local, &pass);
+
+#pragma omp for schedule(static)
+      for (std::int64_t ci = 0; ci < static_cast<std::int64_t>(nchunks); ++ci) {
+        // The first column's pass verifies (and corrects) this chunk's
+        // matrix data, which is cache-hot for the guarded streams behind it.
+        for (std::size_t j = 0; j < cols.size(); ++j) {
+          detail::spmv_chunk<VS>(cursor, static_cast<std::size_t>(ci), nrows,
+                                 cols[j].y->groups(), j == 0 ? mode : CheckMode::bounds_only,
+                                 detail::x_loader(*cols[j].x), cols[j].y->data());
+        }
+      }
+    }  // cursor destructor flushes its check counters
+    capture.merge_from(local);
+  }
+  // As commit_each: every log is updated before any policy raises.
+  capture.commit(a.fault_log(), DuePolicy::record_only);
+  for (std::size_t j = 0; j < cols.size(); ++j) {
+    x_captures[j].commit(cols[j].x->fault_log(), DuePolicy::record_only);
+  }
+  capture.commit(nullptr, a.due_policy());
+  for (std::size_t j = 0; j < cols.size(); ++j) {
+    x_captures[j].commit(nullptr, cols[j].x->due_policy());
+  }
+}
+
 /// y = A * x with the requested per-access verification level, for any
-/// protected matrix format.
+/// protected matrix format — the one-column spmv_columns() pass.
 ///
 /// In CheckMode::full every matrix element and structural entry touched is
 /// verified (and corrected where the scheme allows). In
@@ -176,44 +244,18 @@ void spmv_chunk(Cursor& cursor, std::size_t ci, std::size_t nrows, std::size_t n
 ///
 /// Rows are processed in chunks of whole y codeword groups; the cursor owns
 /// the per-row decode order, so each format keeps its natural memory access
-/// pattern (CSR: row streams; ELL: unit-stride slab columns).
+/// pattern (CSR: row streams; ELL: unit-stride slab columns; SELL: rows of
+/// each slice's slab, scattered through the permutation).
 template <ProtectedMatrixType PM, class VS>
 void spmv(PM& a, ProtectedVector<VS>& x, ProtectedVector<VS>& y,
           CheckMode mode = CheckMode::full) {
-  if (x.size() != a.ncols() || y.size() != a.nrows()) {
-    throw std::invalid_argument("spmv: dimension mismatch");
-  }
-  const std::size_t nrows = a.nrows();
-  const std::size_t nchunks = (nrows + detail::kSpmvChunkRows - 1) / detail::kSpmvChunkRows;
-  ErrorCapture capture;    // matrix-region outcomes (cursor checks)
-  ErrorCapture x_capture;  // x's pre-pass group decodes
-  // Shared per-pass tile-decode arbitration for slab formats (empty for CSR).
-  typename MatrixTraits<PM>::cursor_type::pass_state pass(a);
-  const auto xload = detail::x_loader(x);
-
-#pragma omp parallel
-  {
-    ErrorCapture local;    // this thread's matrix outcomes
-    ErrorCapture x_local;  // this thread's x outcomes
-    detail::verify_x_pass(x, x_local);
-    {
-      typename MatrixTraits<PM>::cursor_type cursor(a, &local, &pass);
-
-#pragma omp for schedule(static)
-      for (std::int64_t ci = 0; ci < static_cast<std::int64_t>(nchunks); ++ci) {
-        detail::spmv_chunk<VS>(cursor, static_cast<std::size_t>(ci), nrows, y.groups(),
-                               mode, xload, y.data());
-      }
-    }  // cursor destructor flushes its check counters
-    capture.merge_from(local);
-    x_capture.merge_from(x_local);
-  }
-  detail::commit_each({{&capture, a.fault_log(), a.due_policy()},
-                       {&x_capture, x.fault_log(), x.due_policy()}});
+  const SpmvColumn<VS> col{&x, &y};
+  spmv_columns(a, std::span<const SpmvColumn<VS>>(&col, 1), mode);
 }
 
 /// Y = A * X for a batch of k right-hand sides (SpMM), amortizing the matrix
-/// verification over the batch.
+/// verification over the batch — the spmv_columns() pass over the active
+/// columns in column order.
 ///
 /// Per 64-row chunk, the *first* active column runs at the requested check
 /// mode — in CheckMode::full that decodes, verifies and (where the scheme
@@ -233,8 +275,7 @@ void spmv(PM& a, ProtectedVector<VS>& x, ProtectedVector<VS>& y,
 /// Vector accounting keeps per-request isolation: each active x column is
 /// verified once per call by the same pre-pass sweep as spmv() (x.groups()
 /// checks per active column), into its own ErrorCapture committed to its own
-/// FaultLog / DuePolicy, so each column's log matches its independent
-/// spmv()'s bit-for-bit. \p active (optional, size k, non-zero = solve)
+/// FaultLog / DuePolicy. \p active (optional, size k, non-zero = solve)
 /// masks converged columns out of the batch — neither read nor checked —
 /// without disturbing the others.
 template <ProtectedMatrixType PM, class VS>
@@ -249,51 +290,11 @@ void spmm(PM& a, ProtectedMultiVector<VS>& x, ProtectedMultiVector<VS>& y,
   if (x.size() != a.ncols() || y.size() != a.nrows()) {
     throw std::invalid_argument("spmm: dimension mismatch");
   }
-  std::vector<std::size_t> cols;  // active columns, in fixed column order
+  std::vector<SpmvColumn<VS>> cols;
   for (std::size_t j = 0; j < k; ++j) {
-    if (active == nullptr || (*active)[j] != 0) cols.push_back(j);
+    if (active == nullptr || (*active)[j] != 0) cols.push_back({&x.column(j), &y.column(j)});
   }
-  if (cols.empty()) return;
-  const std::size_t nrows = a.nrows();
-  const std::size_t nchunks = (nrows + detail::kSpmvChunkRows - 1) / detail::kSpmvChunkRows;
-  ErrorCapture capture;  // matrix-region outcomes — one full pass's worth
-  // Per-column x captures (deque: ErrorCapture is a pinned, non-movable type).
-  std::deque<ErrorCapture> x_captures(k);
-  typename MatrixTraits<PM>::cursor_type::pass_state pass(a);
-
-#pragma omp parallel
-  {
-    ErrorCapture local;
-    std::deque<ErrorCapture> x_locals(k);
-    for (const std::size_t j : cols) detail::verify_x_pass(x.column(j), x_locals[j]);
-    {
-      typename MatrixTraits<PM>::cursor_type cursor(a, &local, &pass);
-
-#pragma omp for schedule(static)
-      for (std::int64_t ci = 0; ci < static_cast<std::int64_t>(nchunks); ++ci) {
-        // The matrix data for this chunk is verified by the first active
-        // column's pass and is cache-hot for the guarded streams behind it;
-        // the column order is fixed, so which column carries the full pass
-        // is a pure function of the active mask, not of threading.
-        for (const std::size_t j : cols) {
-          detail::spmv_chunk<VS>(cursor, static_cast<std::size_t>(ci), nrows,
-                                 y.column(j).groups(),
-                                 j == cols.front() ? mode : CheckMode::bounds_only,
-                                 detail::x_loader(x.column(j)), y.column(j).data());
-        }
-      }
-    }  // cursor destructor flushes its check counters
-    capture.merge_from(local);
-    for (const std::size_t j : cols) x_captures[j].merge_from(x_locals[j]);
-  }
-  std::vector<detail::OperandCommit> commits;
-  commits.reserve(k + 1);
-  commits.push_back({&capture, a.fault_log(), a.due_policy()});
-  for (std::size_t j = 0; j < k; ++j) {
-    commits.push_back(
-        {&x_captures[j], x.column(j).fault_log(), x.column(j).due_policy()});
-  }
-  detail::commit_each(commits);
+  spmv_columns<PM, VS>(a, cols, mode);
 }
 
 /// Dot product of two protected vectors (decodes each group once).

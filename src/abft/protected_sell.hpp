@@ -40,7 +40,7 @@
 #include "abft/check_policy.hpp"
 #include "abft/element_schemes.hpp"
 #include "abft/error_capture.hpp"
-#include "abft/raw_spmv.hpp"
+#include "abft/spmv_chunk.hpp"
 #include "abft/structure_schemes.hpp"
 #include "abft/tile_check.hpp"
 #include "common/aligned.hpp"
@@ -351,13 +351,6 @@ class ProtectedSell {
       return {v, c};
     }
   }
-
-  /// y = A x over raw dense spans (for callers that do not protect their
-  /// vectors). CheckMode semantics match the free protected-kernel spmv:
-  /// bounds_only skips the integrity checks but still range-guards every
-  /// structural value and column index. Defined after SellRowCursor below.
-  void spmv(std::span<const double> x, std::span<double> y,
-            CheckMode mode = CheckMode::full);
 
   /// Full-matrix integrity sweep (paper §VI-A2). Returns the number of
   /// uncorrectable codewords; corrections are applied in place. The element
@@ -724,7 +717,7 @@ class SellRowCursor {
   /// Compute (A x)[first_row + i] for i in [0, n) and hand each finished row
   /// sum to `store(i, sum)`; see CsrRowCursor::accumulate for the contract.
   /// Rows whose decoded structure fails a guard produce 0. first_row must be
-  /// a multiple of detail::kSpmvChunkRows (both kernel drivers chunk that
+  /// a multiple of detail::kSpmvChunkRows (the SpMV pass driver chunks that
   /// way), so the permutation scatter stays inside [0, n).
   template <class XLoad, class Store>
   void accumulate(std::size_t first_row, std::size_t n, CheckMode mode, XLoad&& xload,
@@ -897,12 +890,5 @@ class SellRowCursor {
   std::size_t slice_;
   std::uint64_t checks_ = 0;
 };
-
-template <class Index, class ES, class SS>
-void ProtectedSell<Index, ES, SS>::spmv(std::span<const double> x, std::span<double> y,
-                                        CheckMode mode) {
-  detail::chunked_raw_spmv<SellRowCursor<Index, ES, SS>>(*this, x, y, mode,
-                                                         "ProtectedSell::spmv");
-}
 
 }  // namespace abft

@@ -1,11 +1,13 @@
 /// \file batch.hpp
-/// \brief Batched Conjugate Gradient: k independent systems against one
-/// shared protected operator, solved in lockstep so the SpMM kernel can
-/// amortize the matrix verification over the whole batch.
+/// \brief Conjugate Gradient in lockstep over k systems that share one
+/// protected operator — the one CG recurrence behind both cg_solve() (k = 1)
+/// and cg_solve_batch(), so the SpMM pass can amortize the matrix
+/// verification over the whole batch.
 ///
-/// Numerically each column runs *exactly* the op sequence of cg_solve() —
-/// same kernels, same fixed-order reductions, same convergence test — so a
-/// batched solve is bit-identical to k sequential solves (the SpMM's guarded
+/// Every column runs the same op sequence as a one-system solve — same
+/// kernels, same fixed-order reductions, same convergence test, and every
+/// norm of b committed before the first check decision — so a batched solve
+/// is bit-identical to k sequential cg_solve() runs (the SpMM's guarded
 /// column streams reproduce the full-check SpMV bit-for-bit on
 /// clean-or-corrected data; see spmm()). What changes is the accounting: the
 /// matrix region is verified once per SpMM pass instead of once per column
@@ -17,9 +19,13 @@
 /// tenant's data is logged to — and policed by — that tenant alone.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <memory_resource>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -33,10 +39,137 @@ namespace abft::solvers {
 /// Per-column residual histories of a batched solve (index = column).
 using ResidualHistories = std::vector<std::vector<double>>;
 
+namespace detail {
+
+/// One system of a lockstep CG solve: the caller's b and u, and an optional
+/// residual trace.
+template <class VS>
+struct CgColumn {
+  ProtectedVector<VS>* b;
+  ProtectedVector<VS>* u;
+  std::vector<double>* history;
+};
+
+/// Unpreconditioned CG on every column in lockstep, writing column j's
+/// outcome to results[j]. A column stops (converged, or broken down) on its
+/// own and is left out of later passes; the solve runs until every column
+/// has stopped or opts.max_iterations is hit.
+template <class Matrix, class VS>
+void cg_lockstep(Matrix& a, std::span<const CgColumn<VS>> cols, const SolveOptions& opts,
+                 SolveResult* results) {
+  const std::size_t k = cols.size();
+  // The solve's bookkeeping lives in a stack arena (spilling to the heap only
+  // for wide batches), so a one-column solve puts nothing on the heap but its
+  // three temporaries: small buffers left between them fragmented the heap
+  // and raised the TeaLeaf benchmark's peak RSS by 13%.
+  std::array<std::byte, 2048> arena;
+  std::pmr::monotonic_buffer_resource mem(arena.data(), arena.size());
+  std::pmr::vector<double> threshold(k, &mem), rr(k, 0.0, &mem);
+  std::pmr::vector<SpmvColumn<VS>> pass(&mem);
+  pass.reserve(k);
+  const auto stopped = [&](std::size_t j) {
+    return results[j].converged || results[j].breakdown;
+  };
+
+  // The committed-fault funnel for the adaptive policy: the shared matrix log
+  // plus every column's own logs (deduplicated by pointer). All kernels
+  // commit into these serially before each iteration's decision point, so
+  // the decision inputs are deterministic at any thread count.
+  std::pmr::vector<const FaultLog*> logs({a.fault_log()}, &mem);
+  for (const auto& c : cols) {
+    logs.push_back(c.u->fault_log());
+    logs.push_back(c.b->fault_log());
+  }
+  const auto check_mode = [&](std::uint64_t iter) {
+    if (opts.adaptive_policy != nullptr) {
+      return opts.adaptive_policy->begin_iteration(
+          iter, committed_fault_totals(logs.data(), logs.size()));
+    }
+    return opts.check_policy.mode_for_iteration(iter);
+  };
+  const auto record = [&](std::size_t j, double rr_j) {
+    results[j].residual_norm = std::sqrt(rr_j);
+    if (cols[j].history != nullptr) cols[j].history->push_back(results[j].residual_norm);
+  };
+
+  // Each system's temporaries, inheriting its log/policy from u.
+  struct Temporaries {
+    ProtectedVector<VS> r, p, w;
+  };
+  std::pmr::vector<Temporaries> tmp(&mem);
+  tmp.reserve(k);
+  for (const auto& c : cols) {
+    const std::size_t n = c.u->size();
+    tmp.push_back({ProtectedVector<VS>(n, c.u->fault_log(), c.u->due_policy()),
+                   ProtectedVector<VS>(n, c.u->fault_log(), c.u->due_policy()),
+                   ProtectedVector<VS>(n, c.u->fault_log(), c.u->due_policy())});
+  }
+
+  // Every b's norm first: a fault in b is then committed before the
+  // iteration-0 check decision reads the logs.
+  for (std::size_t j = 0; j < k; ++j) {
+    const double bnorm = norm2(*cols[j].b);
+    threshold[j] = opts.tolerance * (bnorm > 0.0 ? bnorm : 1.0);
+  }
+
+  // r = b - A u ; p = r — one matrix verification for the batch.
+  for (std::size_t j = 0; j < k; ++j) pass.push_back({cols[j].u, &tmp[j].w});
+  spmv_columns<Matrix, VS>(a, pass, check_mode(0));
+  std::size_t nactive = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    sub(*cols[j].b, tmp[j].w, tmp[j].r);
+    copy(tmp[j].r, tmp[j].p);
+    rr[j] = dot(tmp[j].r, tmp[j].r);
+    record(j, rr[j]);
+    results[j].converged = results[j].residual_norm <= threshold[j];
+    if (!results[j].converged) ++nactive;
+  }
+
+  for (unsigned iter = 1; iter <= opts.max_iterations && nactive > 0; ++iter) {
+    const CheckMode mode = check_mode(iter);
+    pass.clear();
+    for (std::size_t j = 0; j < k; ++j) {
+      if (!stopped(j)) pass.push_back({&tmp[j].p, &tmp[j].w});
+    }
+    spmv_columns<Matrix, VS>(a, pass, mode);
+    for (std::size_t j = 0; j < k; ++j) {
+      if (stopped(j)) continue;
+      SolveResult& res = results[j];
+      const double pw = dot(tmp[j].p, tmp[j].w);
+      if (pw == 0.0 || !std::isfinite(pw)) {  // breakdown (e.g. SDC damage)
+        res.breakdown = true;
+        --nactive;
+        continue;
+      }
+      const double alpha = rr[j] / pw;
+      axpy(alpha, tmp[j].p, *cols[j].u);
+      axpy(-alpha, tmp[j].w, tmp[j].r);
+      const double rr_new = dot(tmp[j].r, tmp[j].r);
+      res.iterations = iter;
+      record(j, rr_new);
+      res.breakdown = !std::isfinite(rr_new);
+      res.converged = !res.breakdown && res.residual_norm <= threshold[j];
+      if (stopped(j)) {
+        --nactive;
+        continue;
+      }
+      xpby(tmp[j].r, rr_new / rr[j], tmp[j].p);
+      rr[j] = rr_new;
+    }
+  }
+
+  // End-of-solve sweep, once for the whole batch (the matrix is shared; with
+  // check intervals > 1 this is what guarantees no corruption survives the
+  // solve unnoticed, paper §VI-A2).
+  if (opts.final_matrix_verify) a.verify_all();
+}
+
+}  // namespace detail
+
 /// Solve A u_j = b_j for every column j with unpreconditioned CG in
 /// lockstep. Each \p u column holds that request's initial guess on entry
 /// and its solution on exit. Converged (or broken-down) columns are frozen
-/// via the SpMM active mask; the batch runs until every column is done or
+/// out of later SpMM passes; the batch runs until every column is done or
 /// opts.max_iterations is hit. opts.residual_history is ignored (it has no
 /// column dimension) — pass \p histories for per-column residual traces.
 template <class Matrix, class VS>
@@ -52,97 +185,13 @@ std::vector<SolveResult> cg_solve_batch(Matrix& a, ProtectedMultiVector<VS>& b,
   const auto obs_start = std::chrono::steady_clock::now();
   if (histories != nullptr) histories->assign(k, {});
   if (k == 0) return results;
-  const std::size_t n = u.size();
-
-  // Temporaries inherit each request's own log/policy from its u column.
-  ProtectedMultiVector<VS> r(n), p(n), w(n);
+  std::vector<detail::CgColumn<VS>> cols;
+  cols.reserve(k);
   for (std::size_t j = 0; j < k; ++j) {
-    for (auto* mv : {&r, &p, &w}) {
-      mv->add_column(u.column(j).fault_log(), u.column(j).due_policy());
-    }
+    cols.push_back({&b.column(j), &u.column(j),
+                    histories != nullptr ? &(*histories)[j] : nullptr});
   }
-
-  std::vector<std::uint8_t> active(k, 1);
-  std::vector<double> threshold(k), rr(k, 0.0);
-
-  // The batch's committed-fault funnel for the adaptive policy: the shared
-  // matrix log plus every column's own log (deduplicated by pointer). All
-  // kernels commit into these serially before each iteration's decision
-  // point, so the decision inputs are deterministic at any thread count.
-  std::vector<const FaultLog*> batch_logs;
-  batch_logs.push_back(a.fault_log());
-  for (std::size_t j = 0; j < k; ++j) {
-    batch_logs.push_back(u.column(j).fault_log());
-    batch_logs.push_back(b.column(j).fault_log());
-  }
-  const auto batch_mode = [&](std::uint64_t iter) {
-    if (opts.adaptive_policy != nullptr) {
-      return opts.adaptive_policy->begin_iteration(
-          iter, committed_fault_totals(batch_logs.data(), batch_logs.size()));
-    }
-    return opts.check_policy.mode_for_iteration(iter);
-  };
-
-  // r_j = b_j - A u_j ; p_j = r_j — one matrix verification for the batch.
-  spmm(a, u, w, batch_mode(0), &active);
-  std::size_t nactive = 0;
-  for (std::size_t j = 0; j < k; ++j) {
-    const double bnorm = norm2(b.column(j));
-    threshold[j] = opts.tolerance * (bnorm > 0.0 ? bnorm : 1.0);
-    sub(b.column(j), w.column(j), r.column(j));
-    copy(r.column(j), p.column(j));
-    rr[j] = dot(r.column(j), r.column(j));
-    results[j].residual_norm = std::sqrt(rr[j]);
-    if (histories != nullptr) (*histories)[j].push_back(results[j].residual_norm);
-    if (results[j].residual_norm <= threshold[j]) {
-      results[j].converged = true;
-      active[j] = 0;
-    } else {
-      ++nactive;
-    }
-  }
-
-  for (unsigned iter = 1; iter <= opts.max_iterations && nactive > 0; ++iter) {
-    const CheckMode mode = batch_mode(iter);
-    spmm(a, p, w, mode, &active);
-    for (std::size_t j = 0; j < k; ++j) {
-      if (active[j] == 0) continue;
-      const double pw = dot(p.column(j), w.column(j));
-      if (pw == 0.0 || !std::isfinite(pw)) {  // breakdown (e.g. SDC damage)
-        results[j].breakdown = true;
-        active[j] = 0;
-        --nactive;
-        continue;
-      }
-      const double alpha = rr[j] / pw;
-      axpy(alpha, p.column(j), u.column(j));
-      axpy(-alpha, w.column(j), r.column(j));
-      const double rr_new = dot(r.column(j), r.column(j));
-      results[j].iterations = iter;
-      results[j].residual_norm = std::sqrt(rr_new);
-      if (histories != nullptr) (*histories)[j].push_back(results[j].residual_norm);
-      if (!std::isfinite(rr_new)) {
-        results[j].breakdown = true;
-        active[j] = 0;
-        --nactive;
-        continue;
-      }
-      if (results[j].residual_norm <= threshold[j]) {
-        results[j].converged = true;
-        active[j] = 0;
-        --nactive;
-        continue;
-      }
-      const double beta = rr_new / rr[j];
-      xpby(r.column(j), beta, p.column(j));
-      rr[j] = rr_new;
-    }
-  }
-
-  // End-of-solve sweep, once for the whole batch (the matrix is shared; with
-  // check intervals > 1 this is what guarantees no corruption survives the
-  // batch unnoticed, paper §VI-A2).
-  if (opts.final_matrix_verify) a.verify_all();
+  detail::cg_lockstep<Matrix, VS>(a, cols, opts, results.data());
   obs::record_batch_solve("cg-batch", results, obs_start);
   return results;
 }

@@ -8,84 +8,28 @@
 /// collapse to a plain CG, which is the measurement baseline.
 #pragma once
 
-#include <cmath>
+#include <span>
 
 #include "abft/protected_csr.hpp"
-#include "abft/protected_kernels.hpp"
 #include "abft/protected_vector.hpp"
 #include "obs/solve_metrics.hpp"
+#include "solvers/batch.hpp"
 #include "solvers/types.hpp"
 
 namespace abft::solvers {
 
 /// Solve A u = b with (unpreconditioned) CG. \p u holds the initial guess on
-/// entry and the solution on exit. \p Matrix is any ProtectedCsr
-/// instantiation — one implementation serves both index widths.
+/// entry and the solution on exit. \p Matrix is any protected matrix at
+/// either index width. This is the one-column case of the lockstep
+/// recurrence behind cg_solve_batch() (solvers/batch.hpp).
 template <class Matrix, class VS>
 SolveResult cg_solve(Matrix& a, ProtectedVector<VS>& b,
                      ProtectedVector<VS>& u, const SolveOptions& opts = {}) {
   SolveResult result;
   obs::SolveScope obs_scope("cg", &result);
-  const std::size_t n = u.size();
-  FaultLog* log = u.fault_log();
-  const DuePolicy policy = u.due_policy();
-  ProtectedVector<VS> r(n, log, policy);
-  ProtectedVector<VS> p(n, log, policy);
-  ProtectedVector<VS> w(n, log, policy);
-
-  const double bnorm = norm2(b);
-  const double threshold = opts.tolerance * (bnorm > 0.0 ? bnorm : 1.0);
-
-  // r = b - A u ; p = r.
-  spmv(a, u, w, iteration_check_mode(opts, 0, {a.fault_log(), log, b.fault_log()}));
-  sub(b, w, r);
-  copy(r, p);
-  double rr = dot(r, r);
-
-  result.residual_norm = std::sqrt(rr);
-  if (opts.residual_history != nullptr) {
-    opts.residual_history->push_back(result.residual_norm);
-  }
-  if (result.residual_norm <= threshold) {
-    result.converged = true;
-    if (opts.final_matrix_verify) a.verify_all();
-    return result;
-  }
-
-  for (unsigned iter = 1; iter <= opts.max_iterations; ++iter) {
-    const CheckMode mode =
-        iteration_check_mode(opts, iter, {a.fault_log(), log, b.fault_log()});
-    spmv(a, p, w, mode);
-    const double pw = dot(p, w);
-    if (pw == 0.0 || !std::isfinite(pw)) {  // breakdown (e.g. SDC damage)
-      result.breakdown = true;
-      break;
-    }
-    const double alpha = rr / pw;
-    axpy(alpha, p, u);
-    axpy(-alpha, w, r);
-    const double rr_new = dot(r, r);
-    result.iterations = iter;
-    result.residual_norm = std::sqrt(rr_new);
-    if (opts.residual_history != nullptr) {
-      opts.residual_history->push_back(result.residual_norm);
-    }
-    if (!std::isfinite(rr_new)) {
-      result.breakdown = true;
-      break;
-    }
-    if (result.residual_norm <= threshold) {
-      result.converged = true;
-      break;
-    }
-    const double beta = rr_new / rr;
-    xpby(r, beta, p);
-    rr = rr_new;
-  }
-
-  // End-of-solve sweep: with check intervals > 1 this is what guarantees no
-  // corruption survives the time-step unnoticed (paper §VI-A2).
-  if (opts.final_matrix_verify) a.verify_all();
+  const detail::CgColumn<VS> col{&b, &u, opts.residual_history};
+  detail::cg_lockstep<Matrix, VS>(a, std::span<const detail::CgColumn<VS>>(&col, 1), opts,
+                                  &result);
   return result;
 }
 

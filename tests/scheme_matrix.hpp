@@ -26,8 +26,10 @@
 #include <vector>
 
 #include "abft/element_schemes.hpp"
+#include "abft/protected_kernels.hpp"
 #include "abft/protected_vector.hpp"
 #include "abft/row_schemes.hpp"
+#include "abft/vector_schemes.hpp"
 #include "common/bits.hpp"
 #include "common/fault_log.hpp"
 #include "common/rng.hpp"
@@ -475,6 +477,18 @@ void expect_matrices_equal(const sparse::Sell<Index>& got,
   EXPECT_EQ(got.row_nnz(), want.row_nnz());
   EXPECT_EQ(got.cols(), want.cols());
   EXPECT_EQ(got.values(), want.values());
+}
+
+/// y = A x through the free spmv kernel over unprotected (VecNone) vectors —
+/// the raw x-gather path, so the ELL slab cursor's SIMD gather is exercised.
+template <class PM>
+void spmv_unprotected(PM& a, const std::vector<double>& x, std::vector<double>& y,
+                      CheckMode mode) {
+  ProtectedVector<VecNone> px(x.size()), py(y.size());
+  px.assign({x.data(), x.size()});
+  py.assign({y.data(), y.size()});
+  spmv(a, px, py, mode);
+  py.extract({y.data(), y.size()});
 }
 
 /// Clean encode -> verify -> decode must reproduce the input exactly.

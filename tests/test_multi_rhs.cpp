@@ -13,11 +13,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "abft/abft.hpp"
 #include "common/rng.hpp"
 #include "faults/injector.hpp"
+#include "obs/metrics.hpp"
 #include "solvers/solvers.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/transform.hpp"
@@ -361,6 +364,76 @@ TEST(MultiRhsCg, BatchSolveIsBitIdenticalToSequentialSolves) {
   }
   EXPECT_TRUE(results[2].converged);
   EXPECT_EQ(results[2].iterations, 0u);
+}
+
+/// A one-system adaptive CG solve — through cg_solve_batch at k = 1, or
+/// through cg_solve — on laplacian_2d(14, 14) with SECDED everywhere, with or
+/// without a single corrected bit flip in b. Returns the policy's interval
+/// trajectory as (iteration, interval) pairs.
+std::vector<std::pair<std::uint64_t, unsigned>> adaptive_cg_trajectory(bool batch,
+                                                                       bool flip_b) {
+  const auto a = sparse::laplacian_2d(14, 14);
+  using PM = ProtectedCsr<std::uint32_t, ElemSecded, RowSecded64>;
+  FaultLog mlog, blog, ulog;
+  auto p = PM::from_plain(a, &mlog, DuePolicy::record_only);
+  ProtectedMultiVector<VecSecded64> b(a.nrows()), u(a.nrows());
+  auto& b0 = b.add_column(&blog, DuePolicy::record_only);
+  auto& u0 = u.add_column(&ulog, DuePolicy::record_only);
+  const auto braw = column_data<VecSecded64>(a.nrows(), 0);
+  b0.assign({braw.data(), braw.size()});
+  if (flip_b) {
+    auto raw = b0.raw();
+    faults::flip_bit({reinterpret_cast<std::uint8_t*>(raw.data()), raw.size_bytes()},
+                     64 * 5 + 40);
+  }
+  AdaptiveCheckPolicy policy;
+  solvers::SolveOptions opts;
+  opts.tolerance = 1e-9;
+  opts.adaptive_policy = &policy;
+  const bool converged = batch ? solvers::cg_solve_batch(p, b, u, opts).at(0).converged
+                               : solvers::cg_solve(p, b0, u0, opts).converged;
+  EXPECT_TRUE(converged);
+  EXPECT_EQ(blog.corrected(), flip_b ? 1u : 0u);
+  std::vector<std::pair<std::uint64_t, unsigned>> trajectory;
+  for (const auto& c : policy.trajectory()) trajectory.emplace_back(c.iteration, c.interval);
+  return trajectory;
+}
+
+TEST(MultiRhsCg, CorrectedFaultInBLeavesTheAdaptiveTrajectoryUnchanged) {
+  // norm2(b) commits b's corrected fault before the iteration-0 check
+  // decision primes the policy, so the fault is not fresh evidence at the
+  // first check window — in the batch exactly as in cg_solve.
+  const auto clean = adaptive_cg_trajectory(/*batch=*/true, /*flip_b=*/false);
+  ASSERT_GE(clean.size(), 2u);
+  EXPECT_EQ(adaptive_cg_trajectory(/*batch=*/true, /*flip_b=*/true), clean);
+  EXPECT_EQ(adaptive_cg_trajectory(/*batch=*/false, /*flip_b=*/true), clean);
+  EXPECT_EQ(adaptive_cg_trajectory(/*batch=*/false, /*flip_b=*/false), clean);
+}
+
+TEST(MultiRhsCg, SolveCountersStampEachSystemOnceUnderItsEntryPointsLabel) {
+  if (!obs::enabled()) GTEST_SKIP() << "observability is off";
+  const auto solves = [](const char* solver) {
+    return obs::MetricsRegistry::global().snapshot().counter(
+        std::string("abft_solves_total{solver=\"") + solver + "\"}");
+  };
+  const auto a = sparse::laplacian_2d(8, 8);
+  using PM = ProtectedCsr<std::uint32_t, ElemNone, RowNone>;
+  auto p = PM::from_plain(a);
+  const auto cg0 = solves("cg");
+  const auto batch0 = solves("cg-batch");
+
+  ProtectedVector<VecNone> b(a.nrows()), u(a.nrows());
+  fill(b, 1.0);
+  (void)solvers::cg_solve(p, b, u);
+  EXPECT_EQ(solves("cg"), cg0 + 1);
+  EXPECT_EQ(solves("cg-batch"), batch0);
+
+  constexpr std::size_t k = 3;
+  ProtectedMultiVector<VecNone> bb(a.nrows(), k), uu(a.nrows(), k);
+  for (std::size_t j = 0; j < k; ++j) fill(bb.column(j), 1.0);
+  (void)solvers::cg_solve_batch(p, bb, uu);
+  EXPECT_EQ(solves("cg"), cg0 + 1);
+  EXPECT_EQ(solves("cg-batch"), batch0 + k);
 }
 
 TEST(MultiRhsCg, EmptyBatchAndSizeMismatch) {

@@ -1,7 +1,7 @@
 // ProtectedEll — the ELLPACK protected container through the format-generic
 // stack: typed encode/decode/flip suites at both index widths (shared
 // harness, tests/scheme_matrix.hpp), bit-identical SpMV equivalence against
-// the CSR path (raw spans and protected kernels, every dispatchable scheme
+// the CSR path (unprotected and protected vectors, every dispatchable scheme
 // combination), and CG-on-ELL with injected faults, including the generic
 // checkpoint-restart wrapper.
 #include <gtest/gtest.h>
@@ -108,7 +108,7 @@ TYPED_TEST(ProtectedEllTest, SpmvMatchesBaselineInBothModes) {
   for (auto& v : x) v = rng.uniform(-2, 2);
   sparse::spmv(a, x.data(), yref.data());
   for (CheckMode mode : {CheckMode::full, CheckMode::bounds_only}) {
-    p.spmv(x, y, mode);
+    scheme_matrix::spmv_unprotected(p, x, y, mode);
     for (std::size_t i = 0; i < a.nrows(); ++i) EXPECT_EQ(y[i], yref[i]) << i;
   }
 }
@@ -139,7 +139,7 @@ TEST(ProtectedEllFaults, BoundsGuardCatchesCorruptColumnInSkipMode) {
       a, &log, DuePolicy::record_only);
   p.raw_cols()[7] = ES::kColMask;  // masked value still >= ncols
   std::vector<double> x(a.ncols(), 1.0), y(a.nrows());
-  p.spmv(x, y, CheckMode::bounds_only);
+  scheme_matrix::spmv_unprotected(p, x, y, CheckMode::bounds_only);
   EXPECT_GE(log.bounds_violations(), 1u);
   EXPECT_EQ(log.uncorrectable(), 0u);
 }
@@ -152,7 +152,7 @@ TEST(ProtectedEllFaults, BoundsGuardCatchesCorruptRowWidthInSkipMode) {
   auto p = ProtectedEll<std::uint32_t, ES, SS>::from_ell(a, &log, DuePolicy::record_only);
   p.raw_row_nnz()[3] = 1000;  // way beyond the slab width
   std::vector<double> x(a.ncols(), 1.0), y(a.nrows());
-  p.spmv(x, y, CheckMode::bounds_only);
+  scheme_matrix::spmv_unprotected(p, x, y, CheckMode::bounds_only);
   EXPECT_GE(log.bounds_violations(), 1u);
   EXPECT_EQ(y[3], 0.0);  // the guarded row yields zero instead of a segfault
 }

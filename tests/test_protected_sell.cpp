@@ -1,7 +1,7 @@
 // ProtectedSell — the SELL-C-sigma protected container through the
 // format-generic stack: typed encode/decode/flip suites at both index widths
 // (shared harness, tests/scheme_matrix.hpp), bit-identical SpMV equivalence
-// against the CSR path (raw spans and protected kernels, every dispatchable
+// against the CSR path (unprotected and protected vectors, every dispatchable
 // scheme combination), permutation guard behaviour, and CG-on-SELL with
 // injected faults, including the generic checkpoint-restart wrapper.
 #include <gtest/gtest.h>
@@ -108,7 +108,7 @@ TYPED_TEST(ProtectedSellTest, SpmvMatchesBaselineInBothModes) {
   for (auto& v : x) v = rng.uniform(-2, 2);
   sparse::spmv(a, x.data(), yref.data());
   for (CheckMode mode : {CheckMode::full, CheckMode::bounds_only}) {
-    p.spmv(x, y, mode);
+    scheme_matrix::spmv_unprotected(p, x, y, mode);
     for (std::size_t i = 0; i < a.nrows(); ++i) EXPECT_EQ(y[i], yref[i]) << i;
   }
 }
@@ -144,7 +144,7 @@ TEST(ProtectedSellFaults, BoundsGuardCatchesCorruptColumnInSkipMode) {
       a, &log, DuePolicy::record_only);
   p.raw_cols()[7] = ES::kColMask;  // masked value still >= ncols
   std::vector<double> x(a.ncols(), 1.0), y(a.nrows());
-  p.spmv(x, y, CheckMode::bounds_only);
+  scheme_matrix::spmv_unprotected(p, x, y, CheckMode::bounds_only);
   EXPECT_GE(log.bounds_violations(), 1u);
   EXPECT_EQ(log.uncorrectable(), 0u);
 }
@@ -162,7 +162,7 @@ TEST(ProtectedSellFaults, BoundsGuardCatchesCorruptRowLengthInSkipMode) {
   }
   p.row_len_storage()[pos] = 1000;  // way beyond any slice width
   std::vector<double> x(a.ncols(), 1.0), y(a.nrows());
-  p.spmv(x, y, CheckMode::bounds_only);
+  scheme_matrix::spmv_unprotected(p, x, y, CheckMode::bounds_only);
   EXPECT_GE(log.bounds_violations(), 1u);
   EXPECT_EQ(y[3], 0.0);  // the guarded row yields zero instead of a segfault
 }
@@ -179,7 +179,7 @@ TEST(ProtectedSellFaults, CorruptPermutationIsBoundsGuarded) {
   const std::uint32_t victim = p.perm_storage()[5];
   p.perm_storage()[5] = 1 << 20;  // far outside the matrix
   std::vector<double> x(a.ncols(), 1.0), y(a.nrows(), -3.0);
-  p.spmv(x, y, CheckMode::bounds_only);
+  scheme_matrix::spmv_unprotected(p, x, y, CheckMode::bounds_only);
   EXPECT_GE(log.bounds_violations(), 1u);
   EXPECT_EQ(y[victim], 0.0);  // its sum was dropped, not misdirected
 
@@ -196,7 +196,7 @@ TEST(ProtectedSellFaults, CorruptSliceWidthIsBoundsGuarded) {
   auto p = ProtectedSell<std::uint32_t, ES, SS>::from_sell(a, &log, DuePolicy::record_only);
   p.slice_width_storage()[0] = 5000;  // beyond the slab
   std::vector<double> x(a.ncols(), 1.0), y(a.nrows());
-  p.spmv(x, y, CheckMode::bounds_only);
+  scheme_matrix::spmv_unprotected(p, x, y, CheckMode::bounds_only);
   EXPECT_GE(log.bounds_violations(), 1u);
   // The clamp keeps the true width, so the results are still exact.
   std::vector<double> yref(a.nrows());
