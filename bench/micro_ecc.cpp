@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "abft/element_schemes.hpp"
+#include "abft/vector_schemes.hpp"
 #include "common/rng.hpp"
 #include "ecc/ecc.hpp"
 
@@ -109,6 +110,49 @@ void BM_Crc32cCorrectSingleBit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Crc32cCorrectSingleBit)->Arg(60)->Arg(768);
+
+/// VecCrc32c's dense-vector codec over one 64-group block of clean groups,
+/// in ns per group: `group` decodes group by group (one dispatched CRC32C
+/// call each), `run` checks the block with one decode_run call. Both at the
+/// software and at the hardware CRC32C kernel.
+void vec_crc_decode_bench(benchmark::State& state, bool run, CrcImpl impl) {
+  if (impl == CrcImpl::hardware && !crc32c_hw_available()) {
+    state.SkipWithError("SSE4.2 unavailable");
+    return;
+  }
+  constexpr std::size_t kGroups = kVecRunGroups;
+  constexpr std::size_t G = VecCrc32c::kGroup;
+  Xoshiro256 rng(8);
+  std::vector<double> logical(kGroups * G), storage(kGroups * G), out(kGroups * G);
+  for (auto& v : logical) v = rng.uniform(-1, 1);
+  const CrcImpl prev = current_crc32c_impl();
+  set_crc32c_impl(impl);
+  VecCrc32c::encode_run(logical.data(), storage.data(), kGroups);
+  for (auto _ : state) {
+    if (run) {
+      benchmark::DoNotOptimize(VecCrc32c::decode_run(storage.data(), out.data(), kGroups));
+    } else {
+      for (std::size_t g = 0; g < kGroups; ++g) {
+        benchmark::DoNotOptimize(
+            VecCrc32c::decode_group(storage.data() + g * G, out.data() + g * G));
+      }
+    }
+    benchmark::ClobberMemory();
+  }
+  set_crc32c_impl(prev);
+  state.counters["ns_per_group"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kGroups) * 1e-9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+BENCHMARK_CAPTURE(vec_crc_decode_bench, group_sw, false, CrcImpl::software)
+    ->Name("BM_VecCrc32cDecode/group/sw");
+BENCHMARK_CAPTURE(vec_crc_decode_bench, run_sw, true, CrcImpl::software)
+    ->Name("BM_VecCrc32cDecode/run/sw");
+BENCHMARK_CAPTURE(vec_crc_decode_bench, group_hw, false, CrcImpl::hardware)
+    ->Name("BM_VecCrc32cDecode/group/hw");
+BENCHMARK_CAPTURE(vec_crc_decode_bench, run_hw, true, CrcImpl::hardware)
+    ->Name("BM_VecCrc32cDecode/run/hw");
 
 /// Batch clean-codeword predicates (the slab SpMV fast path) at a forced
 /// implementation: `scalar` is the plain loop, `vector` the AVX2 kernel

@@ -1,7 +1,8 @@
 /// \file micro_kernels.cpp
 /// \brief Kernel-level throughput per protection scheme: isolates the cost
 /// of the three kernels the paper says dominate TeaLeaf's runtime (SpMV, dot
-/// product, vector update) so the figure-level overheads can be attributed.
+/// product, vector updates) so the figure-level overheads can be attributed;
+/// the crc32c BLAS-1 legs run under both the software and hardware CRC32C.
 /// Also benches the GroupReader stencil cache (paper §VI-C ablation).
 #include <benchmark/benchmark.h>
 
@@ -60,42 +61,80 @@ SPMV_BENCH("secded64", ElemSecded, RowSecded64, VecNone)
 SPMV_BENCH("crc32c", ElemCrc32c, RowCrc32c, VecNone)
 #undef SPMV_BENCH
 
-template <class VS>
+/// Runs a BLAS-1 bench body at the CRC32C kernel \p impl (the crc32c legs run
+/// once per kernel; the hardware leg is skipped with a notice without SSE4.2).
+template <class Body>
+void at_crc_impl(benchmark::State& state, ecc::CrcImpl impl, const Body& body) {
+  if (impl == ecc::CrcImpl::hardware && !ecc::crc32c_hw_available()) {
+    state.SkipWithError("SSE4.2 unavailable");
+    return;
+  }
+  ecc::set_crc32c_impl(impl);
+  body();
+  ecc::set_crc32c_impl(ecc::CrcImpl::auto_detect);
+}
+
+template <class VS, ecc::CrcImpl Impl = ecc::CrcImpl::auto_detect>
 void BM_Dot(benchmark::State& state) {
   const std::size_t n = kGrid * kGrid;
   static ProtectedVector<VS> a(n), b(n);
-  fill(a, 1.5);
-  fill(b, 0.75);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dot(a, b));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+  at_crc_impl(state, Impl, [&] {
+    fill(a, 1.5);
+    fill(b, 0.75);
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(dot(a, b));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+  });
 }
 
-BENCHMARK(BM_Dot<VecNone>)->Name("BM_Dot/none")->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_Dot<VecSed>)->Name("BM_Dot/sed")->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_Dot<VecSecded64>)->Name("BM_Dot/secded64")->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_Dot<VecSecded128>)->Name("BM_Dot/secded128")->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_Dot<VecCrc32c>)->Name("BM_Dot/crc32c")->Unit(benchmark::kMicrosecond);
-
-template <class VS>
+template <class VS, ecc::CrcImpl Impl = ecc::CrcImpl::auto_detect>
 void BM_Axpy(benchmark::State& state) {
   const std::size_t n = kGrid * kGrid;
   static ProtectedVector<VS> x(n), y(n);
-  fill(x, 1.0);
-  fill(y, 2.0);
-  for (auto _ : state) {
-    axpy(1e-9, x, y);
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+  at_crc_impl(state, Impl, [&] {
+    fill(x, 1.0);
+    fill(y, 2.0);
+    for (auto _ : state) {
+      axpy(1e-9, x, y);
+      benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+  });
 }
 
-BENCHMARK(BM_Axpy<VecNone>)->Name("BM_Axpy/none")->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_Axpy<VecSed>)->Name("BM_Axpy/sed")->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_Axpy<VecSecded64>)->Name("BM_Axpy/secded64")->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_Axpy<VecSecded128>)->Name("BM_Axpy/secded128")->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_Axpy<VecCrc32c>)->Name("BM_Axpy/crc32c")->Unit(benchmark::kMicrosecond);
+/// CG's direction update p = r + beta * p.
+template <class VS, ecc::CrcImpl Impl = ecc::CrcImpl::auto_detect>
+void BM_Xpby(benchmark::State& state) {
+  const std::size_t n = kGrid * kGrid;
+  static ProtectedVector<VS> x(n), y(n);
+  at_crc_impl(state, Impl, [&] {
+    fill(x, 1.0);
+    fill(y, 2.0);
+    for (auto _ : state) {
+      xpby(x, 0.5, y);
+      benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+  });
+}
+
+#define BLAS1_BENCH(fn)                                                              \
+  BENCHMARK(fn<VecNone>)->Name(#fn "/none")->Unit(benchmark::kMicrosecond);          \
+  BENCHMARK(fn<VecSed>)->Name(#fn "/sed")->Unit(benchmark::kMicrosecond);            \
+  BENCHMARK(fn<VecSecded64>)->Name(#fn "/secded64")->Unit(benchmark::kMicrosecond);  \
+  BENCHMARK(fn<VecSecded128>)->Name(#fn "/secded128")->Unit(benchmark::kMicrosecond); \
+  BENCHMARK(fn<VecCrc32c, ecc::CrcImpl::software>)                                   \
+      ->Name(#fn "/crc32c/sw")                                                       \
+      ->Unit(benchmark::kMicrosecond);                                               \
+  BENCHMARK(fn<VecCrc32c, ecc::CrcImpl::hardware>)                                   \
+      ->Name(#fn "/crc32c/hw")                                                       \
+      ->Unit(benchmark::kMicrosecond);
+
+BLAS1_BENCH(BM_Dot)
+BLAS1_BENCH(BM_Axpy)
+BLAS1_BENCH(BM_Xpby)
+#undef BLAS1_BENCH
 
 /// AVX2 x-gather ablation for the ELL full-column path: with a schemeless x
 /// the slab kernel hands whole columns to ecc::gather_mul_add, which uses

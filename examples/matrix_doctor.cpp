@@ -133,8 +133,9 @@ void protect_and_solve(const Src& src, MatrixFormat format, IndexWidth width,
                        ecc::Scheme scheme, unsigned flips, std::uint64_t seed,
                        unsigned check_interval, std::size_t tile_slots) {
   FaultLog log;
-  dispatch_protection(format, width, SchemeTriple(scheme),
-                      [&]<class Fmt, class Index, class ES, class SS, class VS>() {
+  reject_unavailable_width_scheme(width, scheme);
+  dispatch_uniform_protection(format, width, scheme,
+                              [&]<class Fmt, class Index, class ES, class SS, class VS>() {
     using PM = typename Fmt::template protected_matrix<Index, ES, SS>;
     const auto a = Fmt::template make_plain<Index, ES>(src);
     const std::size_t n = a.nrows();

@@ -44,7 +44,9 @@ using namespace abft;
 
 /// Protect, inject one flip, CG-solve and report — for one
 /// (format x width x scheme) combination picked at runtime through
-/// dispatch_protection(). With nrhs > 1 the K systems b_j = (j+1) * (A·1)
+/// dispatch_uniform_protection(), which instantiates only the uniform scheme
+/// combinations (secded128 at 32-bit width is rejected first rather than
+/// downgraded). With nrhs > 1 the K systems b_j = (j+1) * (A·1)
 /// are solved as one cg_solve_batch() call (exact solutions u_j = (j+1)·1),
 /// paying the matrix verification once per batch pass.
 void run_protected_solve(const sparse::CsrMatrix& a32, MatrixFormat format,
@@ -53,8 +55,9 @@ void run_protected_solve(const sparse::CsrMatrix& a32, MatrixFormat format,
   FaultLog log;
   std::printf("-- %s, %s-bit indices --\n", to_string(format).data(),
               to_string(width).data());
-  dispatch_protection(format, width, SchemeTriple(scheme),
-                      [&]<class Fmt, class Index, class ES, class SS, class VS>() {
+  reject_unavailable_width_scheme(width, scheme);
+  dispatch_uniform_protection(format, width, scheme,
+                              [&]<class Fmt, class Index, class ES, class SS, class VS>() {
     using PM = typename Fmt::template protected_matrix<Index, ES, SS>;
     const auto a = Fmt::template make_plain<Index, ES>(a32);
     const std::size_t n = a.nrows();

@@ -39,6 +39,28 @@ enum class IndexWidth : std::uint8_t {
   return w == IndexWidth::i32 ? "32" : "64";
 }
 
+namespace detail {
+
+/// The one home of the width-axis hole's message (see dispatch_elem).
+[[noreturn]] inline void throw_secded128_unavailable_at_32bit() {
+  throw SchemeUnavailableError(
+      "element scheme 'secded128' is unavailable at 32-bit index width: the "
+      "element codeword is only 96 bits (SECDED(96,88)); use 'secded64' or "
+      "switch to 64-bit indices");
+}
+
+}  // namespace detail
+
+/// Throw the SchemeUnavailableError dispatch_protection raises for a
+/// secded128 element request at 32-bit width. Drivers that dispatch a uniform
+/// scheme through dispatch_uniform_protection (which would downgrade that
+/// request) call this first to keep the explicit-selection behaviour.
+inline void reject_unavailable_width_scheme(IndexWidth width, ecc::Scheme elem) {
+  if (width == IndexWidth::i32 && elem == ecc::Scheme::secded128) {
+    detail::throw_secded128_unavailable_at_32bit();
+  }
+}
+
 /// Invoke `f.template operator()<ElemScheme>()` for the element scheme
 /// matching \p s at index width \p Index (default: 32-bit).
 ///
@@ -59,10 +81,7 @@ decltype(auto) dispatch_elem(ecc::Scheme s, F&& f) {
       if constexpr (sizeof(Index) == 8) {
         return std::forward<F>(f).template operator()<schemes::ElemSecded<Index>>();
       } else {
-        throw SchemeUnavailableError(
-            "element scheme 'secded128' is unavailable at 32-bit index width: the "
-            "element codeword is only 96 bits (SECDED(96,88)); use 'secded64' or "
-            "switch to 64-bit indices");
+        detail::throw_secded128_unavailable_at_32bit();
       }
     case ecc::Scheme::crc32c:
       return std::forward<F>(f).template operator()<schemes::ElemCrc32c<Index>>();

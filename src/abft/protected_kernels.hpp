@@ -3,13 +3,18 @@
 ///
 /// These are the three kernels the paper identifies as covering 98 % of
 /// TeaLeaf's runtime — sparse matrix-vector product and the BLAS-1 vector
-/// operations — rewritten to work on whole ECC codeword groups (paper §VI-C):
-/// reads decode a group once, writes encode a whole group at a time, so
-/// there are no read-modify-writes and no two threads ever write the same
-/// codeword. SpMV/SpMM verify every x group once per pass, in a sweep ahead
-/// of the row loop, and then gather x through side-effect-free masked loads
-/// — the verify-then-masked-read contract the crc32c-tile matrix layout
-/// already follows.
+/// operations — rewritten to work on whole ECC codeword groups (paper §VI-C).
+/// Every vector pass has one shape: per block of kVecRunGroups codeword
+/// groups it checks each operand's block with one check-only run-codec call
+/// (vector_schemes.hpp; only groups that fail the check go through
+/// decode_group's repair and record), computes on the masked storage, which
+/// is then exactly the logical values, into a block-local buffer, and
+/// encodes that output block with one run call. So there are no
+/// read-modify-writes and no two threads ever write the same codeword.
+/// SpMV/SpMM verify every x group once per pass the same way, in a sweep
+/// ahead of the row loop, and then gather x through side-effect-free masked
+/// loads — the verify-then-masked-read contract the crc32c-tile matrix
+/// layout already follows.
 ///
 /// SpMV and SpMM are one format-generic pass driver, spmv_columns(): spmv is
 /// its one-column call, spmm its k-column call. It drives the per-thread row
@@ -26,6 +31,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -89,37 +95,98 @@ template <class VS>
   }
 }
 
+static_assert(kSpmvChunkRows == kVecRunGroups,
+              "a vector block and an SpMV chunk share the 64-entry granularity");
+
+/// One block's worth of logical values of a \p VS vector.
+template <class VS>
+using Block = double[kVecRunGroups * VS::kGroup];
+
+/// Blocks of kVecRunGroups codeword groups covering \p ngroups groups.
+[[nodiscard]] inline std::size_t blocks(std::size_t ngroups) noexcept {
+  return (ngroups + kVecRunGroups - 1) / kVecRunGroups;
+}
+
+/// Check \p n groups of \p v from group \p g0 with one check-only run call;
+/// each failed group then goes through decode_group, which repairs it in
+/// place, and its outcome is recorded in \p capture. Afterwards the logical
+/// values of every group are its masked storage (VS::mask) — the
+/// verify-then-masked-read contract of verify_x_pass, with no buffer to fill.
+template <class VS>
+void check_block(ProtectedVector<VS>& v, std::size_t g0, std::size_t n,
+                 ErrorCapture& capture) noexcept {
+  if constexpr (VS::kScheme != ecc::Scheme::none) {
+    constexpr std::size_t G = VS::kGroup;
+    double* const storage = v.data() + g0 * G;
+    for (std::uint64_t failed = VS::decode_run(storage, nullptr, n); failed != 0;
+         failed &= failed - 1) {
+      const auto i = static_cast<std::size_t>(std::countr_zero(failed));
+      double scratch[G];
+      capture.record(Region::dense_vector, VS::decode_group(storage + i * G, scratch),
+                     g0 + i);
+    }
+  }
+}
+
+/// Where a kernel puts the new logical values of \p v's block at group
+/// \p g0: \p buf, or VecNone's storage itself.
+template <class VS>
+double* write_block(ProtectedVector<VS>& v, std::size_t g0, double* buf) noexcept {
+  if constexpr (VS::kScheme == ecc::Scheme::none) {
+    return v.data() + g0;
+  } else {
+    return buf;
+  }
+}
+
+/// Encode the \p n groups write_block() handed out as \p out into \p v from
+/// group \p g0 with one run call (nothing to do for VecNone).
+template <class VS>
+void encode_block(ProtectedVector<VS>& v, std::size_t g0, std::size_t n,
+                  const double* out) noexcept {
+  if constexpr (VS::kScheme != ecc::Scheme::none) {
+    VS::encode_run(out, v.data() + g0 * VS::kGroup, n);
+  }
+}
+
+/// Run `body(g0, n)` for every block of an \p ngroups-group vector pass
+/// (first group g0, n groups), thread-parallel over static block ranges.
+template <class Body>
+void for_each_block(std::size_t ngroups, const Body& body) {
+  const std::size_t nblocks = blocks(ngroups);
+#pragma omp parallel for schedule(static)
+  for (std::int64_t bi = 0; bi < static_cast<std::int64_t>(nblocks); ++bi) {
+    const std::size_t g0 = static_cast<std::size_t>(bi) * kVecRunGroups;
+    body(g0, std::min(kVecRunGroups, ngroups - g0));
+  }
+}
+
 /// Verify every codeword group of \p x exactly once, correcting in place and
 /// recording into x's \p capture, which the whole team shares (its counters
 /// add and its exemplars take the minimum, so the result is independent of
 /// the thread split, as in dot()). Must be reached by every thread of the
 /// enclosing parallel region: the orphaned worksharing loop
-/// splits the groups in static kSpmvChunkRows-group blocks, and its implicit
-/// barrier guarantees no thread gathers from x before x is clean. Each group
-/// has exactly one verifier, so x's check count is x.groups() and each fault
-/// is reported once at every thread count.
+/// splits the groups in static blocks, one check-only run call each, and its
+/// implicit barrier guarantees no thread gathers from x before x is clean.
+/// Each group has exactly one verifier, so x's check count is x.groups() and
+/// each fault is reported once at every thread count.
 template <class VS>
 void verify_x_pass(ProtectedVector<VS>& x, ErrorCapture& capture) {
   if constexpr (VS::kScheme != ecc::Scheme::none) {
-    constexpr std::size_t G = VS::kGroup;
     const std::size_t ngroups = x.groups();
-    const std::size_t nblocks = (ngroups + kSpmvChunkRows - 1) / kSpmvChunkRows;
 #pragma omp for schedule(static)
-    for (std::int64_t bi = 0; bi < static_cast<std::int64_t>(nblocks); ++bi) {
-      const std::size_t g0 = static_cast<std::size_t>(bi) * kSpmvChunkRows;
-      const std::size_t gend = std::min(g0 + kSpmvChunkRows, ngroups);
-      for (std::size_t g = g0; g < gend; ++g) {
-        double scratch[G];
-        capture.record(Region::dense_vector, VS::decode_group(x.data() + g * G, scratch), g);
-      }
-      capture.add_checks(gend - g0);
+    for (std::int64_t bi = 0; bi < static_cast<std::int64_t>(blocks(ngroups)); ++bi) {
+      const std::size_t g0 = static_cast<std::size_t>(bi) * kVecRunGroups;
+      const std::size_t n = std::min(kVecRunGroups, ngroups - g0);
+      check_block(x, g0, n, capture);
+      capture.add_checks(n);
     }
   }
 }
 
 /// One kSpmvChunkRows-row chunk \p ci of y = A x: the cursor's row sums,
-/// encoded straight into y's codeword groups (a chunk holds whole groups, so
-/// no two chunks write the same codeword).
+/// encoded into y's codeword groups with one run call (a chunk holds whole
+/// groups, so no two chunks write the same codeword).
 template <class VS, class Cursor, class XLoad>
 void spmv_chunk(Cursor& cursor, std::size_t ci, std::size_t nrows, std::size_t ngroups,
                 CheckMode mode, const XLoad& xload, double* y) {
@@ -130,22 +197,13 @@ void spmv_chunk(Cursor& cursor, std::size_t ci, std::size_t nrows, std::size_t n
                 "vector codeword group must divide the SpMV chunk size");
   const std::size_t row0 = ci * kSpmvChunkRows;  // < nrows: chunks tile the rows
   const std::size_t count = std::min(kSpmvChunkRows, nrows - row0);
-  if constexpr (G == 1) {
-    // Single-entry vector codewords: encode each row sum straight from the
-    // register (no intermediate buffer; storage has no padding rows).
-    cursor.accumulate(row0, count, mode, xload, [&](std::size_t i, double v) {
-      VS::encode_group(&v, y + row0 + i);
-    });
-  } else {
-    double sums[kSpmvChunkRows] = {};  // group-padding rows stay zero
-    cursor.accumulate(row0, count, mode, xload,
-                      [&](std::size_t i, double v) { sums[i] = v; });
-    const std::size_t g0 = row0 / G;
-    const std::size_t gend = std::min(g0 + kSpmvChunkRows / G, ngroups);
-    for (std::size_t g = g0; g < gend; ++g) {
-      VS::encode_group(sums + (g - g0) * G, y + g * G);
-    }
-  }
+  const std::size_t g0 = row0 / G;
+  const std::size_t n = std::min(kSpmvChunkRows / G, ngroups - g0);
+  double sums[kSpmvChunkRows];
+  cursor.accumulate(row0, count, mode, xload,
+                    [&](std::size_t i, double v) { sums[i] = v; });
+  std::fill(sums + count, sums + n * G, 0.0);  // group-padding rows
+  VS::encode_run(sums, y + g0 * G, n);
 }
 
 }  // namespace detail
@@ -297,38 +355,54 @@ void spmm(PM& a, ProtectedMultiVector<VS>& x, ProtectedMultiVector<VS>& y,
   spmv_columns<PM, VS>(a, cols, mode);
 }
 
-/// Dot product of two protected vectors (decodes each group once).
+/// Dot product of two protected vectors (checks each group once).
 ///
-/// The reduction is a fixed-order two-level sum: each aligned block of
-/// kDotBlockGroups codeword groups is summed serially into one partial, and
+/// The reduction is a fixed-order two-level sum: each block of
+/// kVecRunGroups codeword groups is summed serially into one partial, and
 /// the partials are folded serially afterwards. The block an element falls in
 /// — and therefore every rounding step — depends only on its index, so the
 /// result is bit-identical at any thread count (an `omp reduction` combines
-/// per-thread sums in whatever order threads finish).
+/// per-thread sums in whatever order threads finish). Four blocks are summed
+/// side by side: their chains are independent, so the adds overlap while each
+/// block keeps its serial order.
 template <class VS>
 [[nodiscard]] double dot(ProtectedVector<VS>& a, ProtectedVector<VS>& b) {
   if (a.size() != b.size()) throw std::invalid_argument("dot: dimension mismatch");
-  constexpr std::size_t G = VS::kGroup;
-  constexpr std::size_t kDotBlockGroups = detail::kSpmvChunkRows;
+  constexpr std::size_t kLanes = 4;
+  constexpr std::size_t kLen = kVecRunGroups * VS::kGroup;  // elements per full block
   const std::size_t ngroups = a.groups();
-  const std::size_t nblocks = (ngroups + kDotBlockGroups - 1) / kDotBlockGroups;
+  const std::size_t nblocks = detail::blocks(ngroups);
   ErrorCapture ca, cb;
   std::vector<double> partials(nblocks, 0.0);
 
 #pragma omp parallel for schedule(static)
-  for (std::int64_t bi = 0; bi < static_cast<std::int64_t>(nblocks); ++bi) {
-    const std::size_t g0 = static_cast<std::size_t>(bi) * kDotBlockGroups;
-    const std::size_t gend = std::min(g0 + kDotBlockGroups, ngroups);
-    double acc = 0.0;
-    for (std::size_t g = g0; g < gend; ++g) {
-      double va[G], vb[G];
-      const auto oa = VS::decode_group(a.data() + g * G, va);
-      const auto ob = VS::decode_group(b.data() + g * G, vb);
-      ca.record(Region::dense_vector, oa, g);
-      cb.record(Region::dense_vector, ob, g);
-      for (std::size_t e = 0; e < G; ++e) acc += va[e] * vb[e];
+  for (std::int64_t qi = 0; qi < static_cast<std::int64_t>((nblocks + kLanes - 1) / kLanes);
+       ++qi) {
+    const std::size_t b0 = static_cast<std::size_t>(qi) * kLanes;
+    const std::size_t bend = std::min(b0 + kLanes, nblocks);
+    for (std::size_t bi = b0; bi < bend; ++bi) {
+      const std::size_t g0 = bi * kVecRunGroups;
+      const std::size_t n = std::min(kVecRunGroups, ngroups - g0);
+      detail::check_block(a, g0, n, ca);
+      detail::check_block(b, g0, n, cb);
     }
-    partials[static_cast<std::size_t>(bi)] = acc;
+    const double* const va = a.data() + b0 * kLen;
+    const double* const vb = b.data() + b0 * kLen;
+    if (bend * kVecRunGroups <= ngroups && bend - b0 == kLanes) {
+      double acc[kLanes] = {};
+      for (std::size_t e = 0; e < kLen; ++e) {
+        for (std::size_t k = 0; k < kLanes; ++k) {
+          acc[k] += VS::mask(va[k * kLen + e]) * VS::mask(vb[k * kLen + e]);
+        }
+      }
+      std::copy_n(acc, kLanes, partials.begin() + static_cast<std::ptrdiff_t>(b0));
+    } else {
+      const std::size_t nelems = (std::min(bend * kVecRunGroups, ngroups) - b0 * kVecRunGroups) *
+                                 VS::kGroup;
+      for (std::size_t e = 0; e < nelems; ++e) {
+        partials[b0 + e / kLen] += VS::mask(va[e]) * VS::mask(vb[e]);
+      }
+    }
   }
   double sum = 0.0;
   for (const double p : partials) sum += p;
@@ -339,97 +413,74 @@ template <class VS>
   return sum;
 }
 
-/// y += alpha * x, one decode of each input group and one encode of y.
+namespace detail {
+
+/// The two-operand update y = f(x, y), element by element: one check of
+/// each input group and one encode of y.
+template <class VS, class F>
+void update(ProtectedVector<VS>& x, ProtectedVector<VS>& y, const F& f) {
+  const std::size_t ngroups = x.groups();
+  ErrorCapture cx, cy;
+  for_each_block(ngroups, [&](std::size_t g0, std::size_t n) {
+    check_block(x, g0, n, cx);
+    check_block(y, g0, n, cy);
+    const double* const vx = x.data() + g0 * VS::kGroup;
+    const double* const vy = y.data() + g0 * VS::kGroup;
+    Block<VS> buf;
+    double* const out = write_block(y, g0, buf);
+#pragma omp simd
+    for (std::size_t e = 0; e < n * VS::kGroup; ++e) {
+      out[e] = f(VS::mask(vx[e]), VS::mask(vy[e]));
+    }
+    encode_block(y, g0, n, out);
+  });
+  cx.add_checks(ngroups);
+  cy.add_checks(ngroups);
+  commit_each({{&cx, x.fault_log(), x.due_policy()}, {&cy, y.fault_log(), y.due_policy()}});
+}
+
+}  // namespace detail
+
+/// y += alpha * x, one check of each input group and one encode of y.
 template <class VS>
 void axpy(double alpha, ProtectedVector<VS>& x, ProtectedVector<VS>& y) {
   if (x.size() != y.size()) throw std::invalid_argument("axpy: dimension mismatch");
-  constexpr std::size_t G = VS::kGroup;
-  const std::size_t ngroups = x.groups();
-  ErrorCapture cx, cy;
-
-#pragma omp parallel for schedule(static)
-  for (std::int64_t g = 0; g < static_cast<std::int64_t>(ngroups); ++g) {
-    double vx[G], vy[G];
-    const auto ox = VS::decode_group(x.data() + static_cast<std::size_t>(g) * G, vx);
-    const auto oy = VS::decode_group(y.data() + static_cast<std::size_t>(g) * G, vy);
-    cx.record(Region::dense_vector, ox, static_cast<std::size_t>(g));
-    cy.record(Region::dense_vector, oy, static_cast<std::size_t>(g));
-    for (std::size_t e = 0; e < G; ++e) vy[e] += alpha * vx[e];
-    VS::encode_group(vy, y.data() + static_cast<std::size_t>(g) * G);
-  }
-  cx.add_checks(ngroups);
-  cy.add_checks(ngroups);
-  detail::commit_each({{&cx, x.fault_log(), x.due_policy()},
-                       {&cy, y.fault_log(), y.due_policy()}});
+  detail::update(x, y, [alpha](double vx, double vy) { return vy + alpha * vx; });
 }
 
 /// y = x + beta * y (CG direction update).
 template <class VS>
 void xpby(ProtectedVector<VS>& x, double beta, ProtectedVector<VS>& y) {
   if (x.size() != y.size()) throw std::invalid_argument("xpby: dimension mismatch");
-  constexpr std::size_t G = VS::kGroup;
-  const std::size_t ngroups = x.groups();
-  ErrorCapture cx, cy;
-
-#pragma omp parallel for schedule(static)
-  for (std::int64_t g = 0; g < static_cast<std::int64_t>(ngroups); ++g) {
-    double vx[G], vy[G];
-    const auto ox = VS::decode_group(x.data() + static_cast<std::size_t>(g) * G, vx);
-    const auto oy = VS::decode_group(y.data() + static_cast<std::size_t>(g) * G, vy);
-    cx.record(Region::dense_vector, ox, static_cast<std::size_t>(g));
-    cy.record(Region::dense_vector, oy, static_cast<std::size_t>(g));
-    for (std::size_t e = 0; e < G; ++e) vy[e] = vx[e] + beta * vy[e];
-    VS::encode_group(vy, y.data() + static_cast<std::size_t>(g) * G);
-  }
-  cx.add_checks(ngroups);
-  cy.add_checks(ngroups);
-  detail::commit_each({{&cx, x.fault_log(), x.due_policy()},
-                       {&cy, y.fault_log(), y.due_policy()}});
-}
-
-/// dst = src (decode + re-encode; the write needs no prior read).
-template <class VS>
-void copy(ProtectedVector<VS>& src, ProtectedVector<VS>& dst) {
-  if (src.size() != dst.size()) throw std::invalid_argument("copy: dimension mismatch");
-  constexpr std::size_t G = VS::kGroup;
-  const std::size_t ngroups = src.groups();
-  ErrorCapture capture;
-
-#pragma omp parallel for schedule(static)
-  for (std::int64_t g = 0; g < static_cast<std::int64_t>(ngroups); ++g) {
-    double v[G];
-    const auto o = VS::decode_group(src.data() + static_cast<std::size_t>(g) * G, v);
-    capture.record(Region::dense_vector, o, static_cast<std::size_t>(g));
-    VS::encode_group(v, dst.data() + static_cast<std::size_t>(g) * G);
-  }
-  capture.add_checks(ngroups);
-  // Only src is decoded (dst is written whole-group, no prior read), so the
-  // single capture is already correctly attributed.
-  capture.commit(src.fault_log(), src.due_policy());
+  detail::update(x, y, [beta](double vx, double vy) { return vx + beta * vy; });
 }
 
 /// y = alpha * x + beta * y (general two-term update).
 template <class VS>
 void axpby(double alpha, ProtectedVector<VS>& x, double beta, ProtectedVector<VS>& y) {
   if (x.size() != y.size()) throw std::invalid_argument("axpby: dimension mismatch");
-  constexpr std::size_t G = VS::kGroup;
-  const std::size_t ngroups = x.groups();
-  ErrorCapture cx, cy;
+  detail::update(x, y,
+                 [alpha, beta](double vx, double vy) { return alpha * vx + beta * vy; });
+}
 
-#pragma omp parallel for schedule(static)
-  for (std::int64_t g = 0; g < static_cast<std::int64_t>(ngroups); ++g) {
-    double vx[G], vy[G];
-    const auto ox = VS::decode_group(x.data() + static_cast<std::size_t>(g) * G, vx);
-    const auto oy = VS::decode_group(y.data() + static_cast<std::size_t>(g) * G, vy);
-    cx.record(Region::dense_vector, ox, static_cast<std::size_t>(g));
-    cy.record(Region::dense_vector, oy, static_cast<std::size_t>(g));
-    for (std::size_t e = 0; e < G; ++e) vy[e] = alpha * vx[e] + beta * vy[e];
-    VS::encode_group(vy, y.data() + static_cast<std::size_t>(g) * G);
-  }
-  cx.add_checks(ngroups);
-  cy.add_checks(ngroups);
-  detail::commit_each({{&cx, x.fault_log(), x.due_policy()},
-                       {&cy, y.fault_log(), y.due_policy()}});
+/// dst = src (check + re-encode; the write needs no prior read).
+template <class VS>
+void copy(ProtectedVector<VS>& src, ProtectedVector<VS>& dst) {
+  if (src.size() != dst.size()) throw std::invalid_argument("copy: dimension mismatch");
+  const std::size_t ngroups = src.groups();
+  ErrorCapture capture;
+  detail::for_each_block(ngroups, [&](std::size_t g0, std::size_t n) {
+    detail::check_block(src, g0, n, capture);
+    const double* const v = src.data() + g0 * VS::kGroup;
+    detail::Block<VS> buf;
+    double* const out = detail::write_block(dst, g0, buf);
+    for (std::size_t e = 0; e < n * VS::kGroup; ++e) out[e] = VS::mask(v[e]);
+    detail::encode_block(dst, g0, n, out);
+  });
+  capture.add_checks(ngroups);
+  // Only src is checked (dst is written whole-group, no prior read), so the
+  // single capture is already correctly attributed.
+  capture.commit(src.fault_log(), src.due_policy());
 }
 
 /// r = a - b (residual assembly; the write needs no prior read of r).
@@ -438,20 +489,20 @@ void sub(ProtectedVector<VS>& a, ProtectedVector<VS>& b, ProtectedVector<VS>& r)
   if (a.size() != b.size() || a.size() != r.size()) {
     throw std::invalid_argument("sub: dimension mismatch");
   }
-  constexpr std::size_t G = VS::kGroup;
   const std::size_t ngroups = a.groups();
   ErrorCapture ca, cb;
-
-#pragma omp parallel for schedule(static)
-  for (std::int64_t g = 0; g < static_cast<std::int64_t>(ngroups); ++g) {
-    double va[G], vb[G];
-    const auto oa = VS::decode_group(a.data() + static_cast<std::size_t>(g) * G, va);
-    const auto ob = VS::decode_group(b.data() + static_cast<std::size_t>(g) * G, vb);
-    ca.record(Region::dense_vector, oa, static_cast<std::size_t>(g));
-    cb.record(Region::dense_vector, ob, static_cast<std::size_t>(g));
-    for (std::size_t e = 0; e < G; ++e) va[e] -= vb[e];
-    VS::encode_group(va, r.data() + static_cast<std::size_t>(g) * G);
-  }
+  detail::for_each_block(ngroups, [&](std::size_t g0, std::size_t n) {
+    detail::check_block(a, g0, n, ca);
+    detail::check_block(b, g0, n, cb);
+    const double* const va = a.data() + g0 * VS::kGroup;
+    const double* const vb = b.data() + g0 * VS::kGroup;
+    detail::Block<VS> buf;
+    double* const out = detail::write_block(r, g0, buf);
+    for (std::size_t e = 0; e < n * VS::kGroup; ++e) {
+      out[e] = VS::mask(va[e]) - VS::mask(vb[e]);
+    }
+    detail::encode_block(r, g0, n, out);
+  });
   ca.add_checks(ngroups);
   cb.add_checks(ngroups);
   // r is written whole-group without a prior read — no outcomes belong to it.
@@ -465,22 +516,22 @@ void pointwise_fma(ProtectedVector<VS>& s, ProtectedVector<VS>& x, ProtectedVect
   if (s.size() != x.size() || s.size() != y.size()) {
     throw std::invalid_argument("pointwise_fma: dimension mismatch");
   }
-  constexpr std::size_t G = VS::kGroup;
   const std::size_t ngroups = s.groups();
   ErrorCapture cs, cx, cy;
-
-#pragma omp parallel for schedule(static)
-  for (std::int64_t g = 0; g < static_cast<std::int64_t>(ngroups); ++g) {
-    double vs[G], vx[G], vy[G];
-    const auto os = VS::decode_group(s.data() + static_cast<std::size_t>(g) * G, vs);
-    const auto ox = VS::decode_group(x.data() + static_cast<std::size_t>(g) * G, vx);
-    const auto oy = VS::decode_group(y.data() + static_cast<std::size_t>(g) * G, vy);
-    cs.record(Region::dense_vector, os, static_cast<std::size_t>(g));
-    cx.record(Region::dense_vector, ox, static_cast<std::size_t>(g));
-    cy.record(Region::dense_vector, oy, static_cast<std::size_t>(g));
-    for (std::size_t e = 0; e < G; ++e) vy[e] += vs[e] * vx[e];
-    VS::encode_group(vy, y.data() + static_cast<std::size_t>(g) * G);
-  }
+  detail::for_each_block(ngroups, [&](std::size_t g0, std::size_t n) {
+    detail::check_block(s, g0, n, cs);
+    detail::check_block(x, g0, n, cx);
+    detail::check_block(y, g0, n, cy);
+    const double* const vs = s.data() + g0 * VS::kGroup;
+    const double* const vx = x.data() + g0 * VS::kGroup;
+    const double* const vy = y.data() + g0 * VS::kGroup;
+    detail::Block<VS> buf;
+    double* const out = detail::write_block(y, g0, buf);
+    for (std::size_t e = 0; e < n * VS::kGroup; ++e) {
+      out[e] = VS::mask(vy[e]) + VS::mask(vs[e]) * VS::mask(vx[e]);
+    }
+    detail::encode_block(y, g0, n, out);
+  });
   cs.add_checks(ngroups);
   cx.add_checks(ngroups);
   cy.add_checks(ngroups);
@@ -492,19 +543,15 @@ void pointwise_fma(ProtectedVector<VS>& s, ProtectedVector<VS>& x, ProtectedVect
 /// x[i] = value for i < size(); padding elements stay zero.
 template <class VS>
 void fill(ProtectedVector<VS>& x, double value) {
-  constexpr std::size_t G = VS::kGroup;
-  const std::size_t ngroups = x.groups();
-  const std::size_t n = x.size();
-
-#pragma omp parallel for schedule(static)
-  for (std::int64_t g = 0; g < static_cast<std::int64_t>(ngroups); ++g) {
-    double v[G];
-    for (std::size_t e = 0; e < G; ++e) {
-      const std::size_t i = static_cast<std::size_t>(g) * G + e;
-      v[e] = i < n ? value : 0.0;
+  const std::size_t size = x.size();
+  detail::for_each_block(x.groups(), [&](std::size_t g0, std::size_t n) {
+    detail::Block<VS> buf;
+    double* const out = detail::write_block(x, g0, buf);
+    for (std::size_t e = 0; e < n * VS::kGroup; ++e) {
+      out[e] = g0 * VS::kGroup + e < size ? value : 0.0;
     }
-    VS::encode_group(v, x.data() + static_cast<std::size_t>(g) * G);
-  }
+    detail::encode_block(x, g0, n, out);
+  });
 }
 
 /// Euclidean norm.

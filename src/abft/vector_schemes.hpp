@@ -16,8 +16,24 @@
 /// in computation — the paper's mechanism for bounding the noise the scheme
 /// injects into the solution (§VI-B). Group schemes trade per-element
 /// redundancy for less noise per element.
+///
+/// Run codec. Besides the per-group encode_group / decode_group, every
+/// scheme codes a *run* of n <= kVecRunGroups consecutive groups in one call:
+///   - decode_run(storage, logical, n) checks the n groups and never writes
+///     storage. It returns a mask whose bit i is set when group i failed its
+///     check. When \p logical is not null it receives every group's masked
+///     values; a failed group's values there are unspecified.
+///   - encode_run(logical, storage, n) is encode_group on each of the groups.
+/// A caller passes each failed group to decode_group, which corrects it,
+/// repairs storage in place and yields the outcome to record. Run decode plus
+/// that per-failure decode gives exactly the bits, repairs and outcomes of
+/// decode_group over every group; only the clean path is batched. VecCrc32c
+/// runs both directions through one out-of-line CRC32C kernel
+/// (ecc::crc32c_check_groups / crc32c_encode_groups, one dispatched call per
+/// run); the other schemes loop over their groups (GroupLoopRuns).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -30,8 +46,37 @@
 
 namespace abft {
 
+/// Most groups one decode_run call may cover (its result is a 64-bit mask).
+inline constexpr std::size_t kVecRunGroups = 64;
+
+/// The run codec as a plain loop over \p VS's group codec. decode_run checks
+/// each group on a copy of its storage, so nothing is repaired here.
+template <class VS>
+struct GroupLoopRuns {
+  [[nodiscard]] static std::uint64_t decode_run(const double* storage, double* logical,
+                                                std::size_t n) noexcept {
+    constexpr std::size_t G = VS::kGroup;
+    std::uint64_t failed = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      double copy[G], scratch[G];
+      std::copy_n(storage + i * G, G, copy);
+      if (VS::decode_group(copy, logical != nullptr ? logical + i * G : scratch) !=
+          CheckOutcome::ok) {
+        failed |= std::uint64_t{1} << i;
+      }
+    }
+    return failed;
+  }
+
+  static void encode_run(const double* logical, double* storage, std::size_t n) noexcept {
+    for (std::size_t i = 0; i < n; ++i) {
+      VS::encode_group(logical + i * VS::kGroup, storage + i * VS::kGroup);
+    }
+  }
+};
+
 /// No protection; baseline storage.
-struct VecNone {
+struct VecNone : GroupLoopRuns<VecNone> {
   static constexpr std::size_t kGroup = 1;
   static constexpr unsigned kRedundancyBitsPerElement = 0;
   static constexpr ecc::Scheme kScheme = ecc::Scheme::none;
@@ -50,7 +95,7 @@ struct VecNone {
 
 /// SED: parity bit in the mantissa LSB (Fig. 3a). Detects any odd number of
 /// flips in the 64-bit pattern; corrects nothing.
-struct VecSed {
+struct VecSed : GroupLoopRuns<VecSed> {
   static constexpr std::size_t kGroup = 1;
   static constexpr unsigned kRedundancyBitsPerElement = 1;
   static constexpr ecc::Scheme kScheme = ecc::Scheme::sed;
@@ -75,7 +120,7 @@ struct VecSed {
 };
 
 /// SECDED over one double (Fig. 3b): 56 data bits, redundancy in the low byte.
-struct VecSecded64 {
+struct VecSecded64 : GroupLoopRuns<VecSecded64> {
   static constexpr std::size_t kGroup = 1;
   static constexpr unsigned kRedundancyBitsPerElement = 8;
   static constexpr ecc::Scheme kScheme = ecc::Scheme::secded64;
@@ -108,7 +153,7 @@ struct VecSecded64 {
 
 /// SECDED over two doubles (Fig. 3c layout, 128-bit flavour): 2 x 59 data
 /// bits, 8 redundancy bits split across the 5 low mantissa bits of each.
-struct VecSecded128 {
+struct VecSecded128 : GroupLoopRuns<VecSecded128> {
   static constexpr std::size_t kGroup = 2;
   static constexpr unsigned kRedundancyBitsPerElement = 5;
   static constexpr ecc::Scheme kScheme = ecc::Scheme::secded128;
@@ -177,15 +222,21 @@ struct VecCrc32c {
   static constexpr std::uint64_t kDataMask = ~std::uint64_t{0xFF};
 
   static void encode_group(const double* logical, double* storage) noexcept {
-    std::uint64_t b[kGroup];
-    for (std::size_t e = 0; e < kGroup; ++e) b[e] = double_to_bits(logical[e]) & kDataMask;
-    const std::uint32_t crc = group_crc(b);
-    for (std::size_t e = 0; e < kGroup; ++e) {
-      storage[e] = bits_to_double(b[e] | ((crc >> (8 * e)) & 0xFF));
-    }
+    encode_run(logical, storage, 1);
+  }
+
+  [[nodiscard]] static std::uint64_t decode_run(const double* storage, double* logical,
+                                                std::size_t n) noexcept {
+    return ecc::crc32c_check_groups(storage, n, logical);
+  }
+
+  static void encode_run(const double* logical, double* storage, std::size_t n) noexcept {
+    ecc::crc32c_encode_groups(logical, n, storage);
   }
 
   [[nodiscard]] static CheckOutcome decode_group(double* storage, double* logical) noexcept {
+    if (decode_run(storage, logical, 1) == 0) return CheckOutcome::ok;
+    // Cold path: locate and repair the flip.
     std::uint64_t b[kGroup];
     std::uint32_t stored = 0;
     for (std::size_t e = 0; e < kGroup; ++e) {
@@ -194,19 +245,15 @@ struct VecCrc32c {
     }
     std::uint64_t masked[kGroup];
     for (std::size_t e = 0; e < kGroup; ++e) masked[e] = b[e] & kDataMask;
-    const std::uint32_t actual = group_crc(masked);
-
-    CheckOutcome outcome = CheckOutcome::ok;
-    if (actual != stored) {
-      outcome = correct(masked, stored, actual) ? CheckOutcome::corrected
-                                                : CheckOutcome::uncorrectable;
-      if (outcome == CheckOutcome::corrected) {
-        // Re-encode: data may have changed, and a flip inside the stored
-        // checksum bytes is repaired by rewriting them.
-        const std::uint32_t crc = group_crc(masked);
-        for (std::size_t e = 0; e < kGroup; ++e) {
-          storage[e] = bits_to_double(masked[e] | ((crc >> (8 * e)) & 0xFF));
-        }
+    const CheckOutcome outcome = correct(masked, stored, group_crc(masked))
+                                     ? CheckOutcome::corrected
+                                     : CheckOutcome::uncorrectable;
+    if (outcome == CheckOutcome::corrected) {
+      // Re-encode: data may have changed, and a flip inside the stored
+      // checksum bytes is repaired by rewriting them.
+      const std::uint32_t crc = group_crc(masked);
+      for (std::size_t e = 0; e < kGroup; ++e) {
+        storage[e] = bits_to_double(masked[e] | ((crc >> (8 * e)) & 0xFF));
       }
     }
     for (std::size_t e = 0; e < kGroup; ++e) {

@@ -52,6 +52,15 @@ constexpr Tables make_tables() {
 
 constexpr Tables kTables = make_tables();
 
+/// One slicing-by-8 step: fold the little-endian 8-byte \p word into \p crc.
+inline std::uint32_t sw_step(std::uint32_t crc, std::uint64_t word) noexcept {
+  word ^= crc;  // little-endian: CRC folds into the low 4 bytes
+  return kTables.t[7][word & 0xffu] ^ kTables.t[6][(word >> 8) & 0xffu] ^
+         kTables.t[5][(word >> 16) & 0xffu] ^ kTables.t[4][(word >> 24) & 0xffu] ^
+         kTables.t[3][(word >> 32) & 0xffu] ^ kTables.t[2][(word >> 40) & 0xffu] ^
+         kTables.t[1][(word >> 48) & 0xffu] ^ kTables.t[0][(word >> 56) & 0xffu];
+}
+
 std::uint32_t sw_kernel(const std::uint8_t* p, std::size_t len, std::uint32_t crc) noexcept {
   // Byte-at-a-time until 8-byte alignment.
   while (len > 0 && (reinterpret_cast<std::uintptr_t>(p) & 7u) != 0) {
@@ -62,11 +71,7 @@ std::uint32_t sw_kernel(const std::uint8_t* p, std::size_t len, std::uint32_t cr
   while (len >= 8) {
     std::uint64_t word;
     std::memcpy(&word, p, 8);
-    word ^= crc;  // little-endian: CRC folds into the low 4 bytes
-    crc = kTables.t[7][word & 0xffu] ^ kTables.t[6][(word >> 8) & 0xffu] ^
-          kTables.t[5][(word >> 16) & 0xffu] ^ kTables.t[4][(word >> 24) & 0xffu] ^
-          kTables.t[3][(word >> 32) & 0xffu] ^ kTables.t[2][(word >> 40) & 0xffu] ^
-          kTables.t[1][(word >> 48) & 0xffu] ^ kTables.t[0][(word >> 56) & 0xffu];
+    crc = sw_step(crc, word);
     p += 8;
     len -= 8;
   }
@@ -74,6 +79,45 @@ std::uint32_t sw_kernel(const std::uint8_t* p, std::size_t len, std::uint32_t cr
     crc = kTables.t[0][(crc ^ *p++) & 0xffu] ^ (crc >> 8);
   }
   return crc;
+}
+
+/// Word \p e of the 4-word CRC group at \p p (crc32c_check_groups' layout).
+inline std::uint64_t group_word(const double* p, unsigned e) noexcept {
+  std::uint64_t w;
+  std::memcpy(&w, p + e, sizeof w);
+  return w;
+}
+
+constexpr std::uint64_t kGroupDataMask = ~std::uint64_t{0xFF};
+
+/// Finish the group at \p in whose masked words checksum to \p crc: encode
+/// writes the masked words with the checksum bytes to \p out; check writes
+/// the masked words (when \p out is not null) and returns 1 when the
+/// checksum stored in the low bytes differs.
+inline std::uint64_t finish_group(const double* in, std::uint32_t crc, double* out,
+                                  bool encode) noexcept {
+  std::uint32_t stored = 0;
+  for (unsigned e = 0; e < 4; ++e) {
+    std::uint64_t w = group_word(in, e);
+    stored |= static_cast<std::uint32_t>(w & 0xFFu) << (8 * e);
+    w &= kGroupDataMask;
+    if (encode) w |= (crc >> (8 * e)) & 0xFFu;
+    // Word by word: a wider reload of narrower stores would stall store
+    // forwarding.
+    if (out != nullptr) std::memcpy(out + e, &w, sizeof w);
+  }
+  return !encode && crc != stored ? 1 : 0;
+}
+
+std::uint64_t sw_groups(const double* in, std::size_t n, double* out, bool encode) noexcept {
+  std::uint64_t dirty = 0;
+  for (std::size_t g = 0; g < n; ++g) {
+    const double* const p = in + 4 * g;
+    std::uint32_t c = ~0u;
+    for (unsigned e = 0; e < 4; ++e) c = sw_step(c, group_word(p, e) & kGroupDataMask);
+    dirty |= finish_group(p, ~c, out != nullptr ? out + 4 * g : nullptr, encode) << g;
+  }
+  return dirty;
 }
 
 #if defined(ABFT_HAVE_SSE42_CRC)
@@ -107,42 +151,80 @@ __attribute__((target("sse4.2"))) std::uint32_t hw_kernel(const std::uint8_t* p,
   }
   return static_cast<std::uint32_t>(c);
 }
+
+template <bool Encode, bool Out>
+__attribute__((target("sse4.2"))) std::uint64_t hw_groups_t(const double* in, std::size_t n,
+                                                            double* out) noexcept {
+  std::uint64_t dirty = 0;
+  std::size_t g = 0;
+  // Four groups per step: their four independent crc32 chains hide the
+  // instruction's 3-cycle latency.
+  for (; g + 4 <= n; g += 4) {
+    const double* const p = in + 4 * g;
+    std::uint64_t c[4] = {0xFFFFFFFFu, 0xFFFFFFFFu, 0xFFFFFFFFu, 0xFFFFFFFFu};
+    for (unsigned e = 0; e < 4; ++e) {
+      for (unsigned k = 0; k < 4; ++k) {
+        c[k] = _mm_crc32_u64(c[k], group_word(p + 4 * k, e) & kGroupDataMask);
+      }
+    }
+    for (unsigned k = 0; k < 4; ++k) {
+      dirty |= finish_group(p + 4 * k, ~static_cast<std::uint32_t>(c[k]),
+                            Out ? out + 4 * (g + k) : nullptr, Encode)
+               << (g + k);
+    }
+  }
+  for (; g < n; ++g) {
+    const double* const p = in + 4 * g;
+    std::uint64_t c = 0xFFFFFFFFu;
+    for (unsigned e = 0; e < 4; ++e) c = _mm_crc32_u64(c, group_word(p, e) & kGroupDataMask);
+    dirty |= finish_group(p, ~static_cast<std::uint32_t>(c),
+                          Out ? out + 4 * g : nullptr, Encode)
+             << g;
+  }
+  return dirty;
+}
+
+/// hw_groups_t per mode, so finish_group's per-word mode branches fold away.
+std::uint64_t hw_groups(const double* in, std::size_t n, double* out, bool encode) noexcept {
+  if (encode) return hw_groups_t<true, true>(in, n, out);
+  return out != nullptr ? hw_groups_t<false, true>(in, n, out)
+                        : hw_groups_t<false, false>(in, n, out);
+}
 #endif  // ABFT_HAVE_SSE42_CRC
 
-using KernelFn = std::uint32_t (*)(const std::uint8_t*, std::size_t, std::uint32_t);
+/// The kernels one CrcImpl selects: the byte-stream CRC and the group run.
+struct Kernels {
+  std::uint32_t (*bytes)(const std::uint8_t*, std::size_t, std::uint32_t) noexcept;
+  std::uint64_t (*groups)(const double*, std::size_t, double*, bool) noexcept;
+};
 
-std::uint32_t run_sw(const std::uint8_t* p, std::size_t n, std::uint32_t c) noexcept {
-  return sw_kernel(p, n, c);
-}
-
+constexpr Kernels kSoftware{sw_kernel, sw_groups};
 #if defined(ABFT_HAVE_SSE42_CRC)
-std::uint32_t run_hw(const std::uint8_t* p, std::size_t n, std::uint32_t c) noexcept {
-  return hw_kernel(p, n, c);
-}
+constexpr Kernels kHardware{hw_kernel, hw_groups};
 #endif
 
-std::atomic<KernelFn> g_kernel{nullptr};
+std::atomic<const Kernels*> g_kernels{nullptr};
 std::atomic<CrcImpl> g_impl{CrcImpl::auto_detect};
 
-KernelFn resolve(CrcImpl impl) noexcept {
+const Kernels* resolve(CrcImpl impl) noexcept {
 #if defined(ABFT_HAVE_SSE42_CRC)
   static const bool hw_ok = detect_sse42();
   if (impl == CrcImpl::hardware || impl == CrcImpl::auto_detect) {
-    if (hw_ok) return run_hw;
+    if (hw_ok) return &kHardware;
   }
 #else
   (void)impl;
 #endif
-  return run_sw;
+  return &kSoftware;
 }
 
-KernelFn kernel() noexcept {
-  KernelFn fn = g_kernel.load(std::memory_order_acquire);
-  if (fn == nullptr) {
-    fn = resolve(g_impl.load(std::memory_order_acquire));
-    g_kernel.store(fn, std::memory_order_release);
+const Kernels& kernels() noexcept {
+  const Kernels* k = g_kernels.load(std::memory_order_acquire);
+  if (k == nullptr) {
+    k = resolve(g_impl.load(std::memory_order_acquire));
+    g_kernels.store(k, std::memory_order_release);
   }
-  return fn;
+  return *k;
 }
 
 }  // namespace
@@ -170,18 +252,28 @@ std::uint32_t crc32c_hw(const void* data, std::size_t len, std::uint32_t seed) n
 }
 
 std::uint32_t crc32c(const void* data, std::size_t len, std::uint32_t seed) noexcept {
-  return ~kernel()(static_cast<const std::uint8_t*>(data), len, ~seed);
+  return ~kernels().bytes(static_cast<const std::uint8_t*>(data), len, ~seed);
+}
+
+std::uint64_t crc32c_check_groups(const double* storage, std::size_t ngroups,
+                                  double* masked) noexcept {
+  return kernels().groups(storage, ngroups, masked, false);
+}
+
+void crc32c_encode_groups(const double* logical, std::size_t ngroups,
+                          double* storage) noexcept {
+  (void)kernels().groups(logical, ngroups, storage, true);
 }
 
 void set_crc32c_impl(CrcImpl impl) noexcept {
   g_impl.store(impl, std::memory_order_release);
-  g_kernel.store(resolve(impl), std::memory_order_release);
+  g_kernels.store(resolve(impl), std::memory_order_release);
 }
 
 CrcImpl current_crc32c_impl() noexcept {
 #if defined(ABFT_HAVE_SSE42_CRC)
-  if (g_kernel.load(std::memory_order_acquire) == run_hw ||
-      (g_kernel.load(std::memory_order_acquire) == nullptr && crc32c_hw_available() &&
+  if (g_kernels.load(std::memory_order_acquire) == &kHardware ||
+      (g_kernels.load(std::memory_order_acquire) == nullptr && crc32c_hw_available() &&
        g_impl.load(std::memory_order_acquire) != CrcImpl::software)) {
     return CrcImpl::hardware;
   }

@@ -43,8 +43,27 @@ enum class CrcImpl : std::uint8_t {
 [[nodiscard]] std::uint32_t crc32c(const void* data, std::size_t len,
                                    std::uint32_t seed = 0) noexcept;
 
-/// Select the kernel used by crc32c(). Benchmarks use this to compare the
-/// software and hardware paths on the same machine.
+/// Run codec for 4-word CRC groups, the dense-vector CRC32C codeword layout:
+/// each group is four consecutive doubles whose 64-bit patterns, with their
+/// low bytes cleared, are the CRC-32C message, and whose low bytes hold the
+/// checksum (byte e of the CRC in the low byte of double e).
+///
+/// crc32c_check_groups() checks \p ngroups (at most 64) consecutive groups at
+/// \p storage and returns a mask whose bit g is set when group g's stored
+/// checksum differs from its recomputed one. When \p masked is not null it
+/// receives every double with its low byte cleared (storage is never
+/// written). crc32c_encode_groups() writes \p ngroups groups of \p logical
+/// values, low bytes cleared and checksum bytes filled in, to \p storage.
+///
+/// Both run through the same dispatch as crc32c(): one indirect call per run,
+/// the hardware kernel interleaving four groups' crc32 chains.
+[[nodiscard]] std::uint64_t crc32c_check_groups(const double* storage, std::size_t ngroups,
+                                                double* masked) noexcept;
+void crc32c_encode_groups(const double* logical, std::size_t ngroups,
+                          double* storage) noexcept;
+
+/// Select the kernel used by crc32c() and the group run codec. Benchmarks
+/// use this to compare the software and hardware paths on the same machine.
 void set_crc32c_impl(CrcImpl impl) noexcept;
 
 /// Kernel currently selected (after auto-detection).

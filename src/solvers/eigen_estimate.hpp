@@ -22,42 +22,26 @@ struct SpectralBounds {
   double lambda_max = 0.0;
 };
 
-/// v *= s (group-wise scale helper).
+/// v *= s (block-wise scale helper).
 template <class VS>
 void scale_in_place(ProtectedVector<VS>& v, double s) {
-  constexpr std::size_t G = VS::kGroup;
   ErrorCapture capture;
-  const std::size_t ngroups = v.groups();
-  for (std::size_t g = 0; g < ngroups; ++g) {
-    double vals[G];
-    const auto o = VS::decode_group(v.data() + g * G, vals);
-    capture.record(Region::dense_vector, o, g);
-    for (std::size_t e = 0; e < G; ++e) vals[e] *= s;
-    VS::encode_group(vals, v.data() + g * G);
-  }
-  capture.add_checks(ngroups);
+  abft::detail::for_each_block(v.groups(), [&](std::size_t g0, std::size_t n) {
+    abft::detail::check_block(v, g0, n, capture);
+    const double* const vals = v.data() + g0 * VS::kGroup;
+    abft::detail::Block<VS> buf;
+    double* const out = abft::detail::write_block(v, g0, buf);
+    for (std::size_t e = 0; e < n * VS::kGroup; ++e) out[e] = VS::mask(vals[e]) * s;
+    abft::detail::encode_block(v, g0, n, out);
+  });
+  capture.add_checks(v.groups());
   capture.commit(v.fault_log(), v.due_policy());
 }
 
 /// w = s*v - w (helper for the shifted power iteration).
 template <class VS>
 void xpby_scaled(ProtectedVector<VS>& v, double s, ProtectedVector<VS>& w) {
-  constexpr std::size_t G = VS::kGroup;
-  ErrorCapture cv, cw;  // per-operand, like the BLAS-1 kernels
-  const std::size_t ngroups = v.groups();
-  for (std::size_t g = 0; g < ngroups; ++g) {
-    double vv[G], vw[G];
-    const auto ov = VS::decode_group(v.data() + g * G, vv);
-    const auto ow = VS::decode_group(w.data() + g * G, vw);
-    cv.record(Region::dense_vector, ov, g);
-    cw.record(Region::dense_vector, ow, g);
-    for (std::size_t e = 0; e < G; ++e) vw[e] = s * vv[e] - vw[e];
-    VS::encode_group(vw, w.data() + g * G);
-  }
-  cv.add_checks(ngroups);
-  cw.add_checks(ngroups);
-  abft::detail::commit_each({{&cv, v.fault_log(), v.due_policy()},
-                             {&cw, w.fault_log(), w.due_policy()}});
+  abft::detail::update(v, w, [s](double vv, double vw) { return s * vv - vw; });
 }
 
 /// Power iteration for lambda_max, then shifted power iteration on

@@ -1,14 +1,21 @@
 // Protected kernels vs raw reference kernels: SpMV across all scheme
 // combinations and check modes, BLAS-1 ops across vector schemes, error
 // propagation out of the OpenMP regions (paper §VI-C), and the SpMV/SpMM
-// x contract (verify every group once per pass, then read masked storage).
+// x contract (verify every group once per pass, then read masked storage),
+// and the BLAS-1 kernels' bits and fault logs under both CRC32C kernels.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <deque>
+#include <string>
 #include <type_traits>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "abft/abft.hpp"
 #include "common/rng.hpp"
@@ -593,6 +600,175 @@ TEST(KernelShapes, DimensionMismatchesThrow) {
   EXPECT_THROW(xpby(x, 1.0, y), std::invalid_argument);
   EXPECT_THROW(sub(x, y, z), std::invalid_argument);
   EXPECT_THROW(pointwise_fma(x, y, z), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// The eight BLAS-1 kernels under the software and the hardware CRC32C kernel,
+// at 1 and 4 OpenMP threads: identical output bits and fault logs, with
+// faults in the operands (the run codec's dirty-group path) — and dot / axpy
+// equal to the per-group decode-compute-encode loop bit for bit.
+// ---------------------------------------------------------------------------
+
+template <class VS>
+class Blas1CodecTest : public ::testing::Test {};
+TYPED_TEST_SUITE(Blas1CodecTest, VecSchemes);
+
+/// Everything a kernel call leaves behind: operand storage bits, the dot
+/// result's bits, and each operand's fault log.
+struct KernelTrace {
+  std::vector<std::vector<double>> storage;
+  std::vector<std::uint64_t> counters;  // checks, corrected, uncorrectable per operand
+  std::vector<FaultEvent> events;
+  double result = 0.0;
+};
+
+template <class VS>
+KernelTrace run_blas1(int kernel) {
+  constexpr std::size_t n = 1001;  // 251 CRC groups: 3 full blocks and a padded tail
+  FaultLog la, lb, lc;
+  ProtectedVector<VS> a(n, &la, DuePolicy::record_only), b(n, &lb, DuePolicy::record_only),
+      c(n, &lc, DuePolicy::record_only);
+  Xoshiro256 rng(77);
+  std::vector<double> raw(n);
+  for (auto* v : {&a, &b, &c}) {
+    for (auto& x : raw) x = rng.uniform(-4, 4);
+    v->assign(raw);
+  }
+  // One flip in a, two in different groups of b's last block (the second in
+  // the padded tail group's last word), one in c.
+  const auto flip = [](ProtectedVector<VS>& v, std::size_t bit) {
+    auto raw_bits = v.raw();
+    faults::flip_bit(
+        {reinterpret_cast<std::uint8_t*>(raw_bits.data()), raw_bits.size_bytes()}, bit);
+  };
+  flip(a, 64 * 9 + 33);
+  const std::size_t last_word = b.raw().size() - 1;
+  flip(b, 64 * (last_word - 5) + 40);
+  flip(b, 64 * last_word + 12);
+  flip(c, 64 * 300 + 50);
+  KernelTrace t;
+  switch (kernel) {
+    case 0: t.result = dot(a, b); break;
+    case 1: axpy(0.3, a, b); break;
+    case 2: xpby(a, -0.7, b); break;
+    case 3: axpby(0.3, a, -0.7, b); break;
+    case 4: copy(a, c); break;
+    case 5: sub(a, b, c); break;
+    case 6: pointwise_fma(a, b, c); break;
+    default: fill(c, 2.5); break;
+  }
+  for (auto* v : {&a, &b, &c}) t.storage.emplace_back(v->raw().begin(), v->raw().end());
+  for (const FaultLog* log : {&la, &lb, &lc}) {
+    t.counters.insert(t.counters.end(), {log->checks(), log->corrected(), log->uncorrectable()});
+    const auto ev = log->events();
+    t.events.insert(t.events.end(), ev.begin(), ev.end());
+  }
+  return t;
+}
+
+void expect_same_trace(const KernelTrace& got, const KernelTrace& want, const std::string& what) {
+  ASSERT_EQ(got.storage.size(), want.storage.size());
+  for (std::size_t i = 0; i < got.storage.size(); ++i) {
+    EXPECT_EQ(std::memcmp(got.storage[i].data(), want.storage[i].data(),
+                          got.storage[i].size() * sizeof(double)),
+              0)
+        << what << ": operand " << i << " bits differ";
+  }
+  EXPECT_EQ(std::memcmp(&got.result, &want.result, sizeof(double)), 0) << what;
+  EXPECT_EQ(got.counters, want.counters) << what;
+  ASSERT_EQ(got.events.size(), want.events.size()) << what;
+  for (std::size_t i = 0; i < got.events.size(); ++i) {
+    EXPECT_EQ(got.events[i].outcome, want.events[i].outcome) << what << " event " << i;
+    EXPECT_EQ(got.events[i].index, want.events[i].index) << what << " event " << i;
+  }
+}
+
+TYPED_TEST(Blas1CodecTest, SoftwareAndHardwareCrcGiveIdenticalBitsAndLogs) {
+  const bool hw = ecc::crc32c_hw_available();
+  if (!hw) std::printf("[ notice ] SSE4.2 crc32 unavailable: hardware legs skipped\n");
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+  const std::vector<int> threads{1, 4};
+#else
+  const std::vector<int> threads{1};
+#endif
+  const char* names[] = {"dot", "axpy", "xpby", "axpby", "copy", "sub", "pointwise_fma", "fill"};
+  for (int k = 0; k < 8; ++k) {
+    ecc::set_crc32c_impl(ecc::CrcImpl::software);
+#ifdef _OPENMP
+    omp_set_num_threads(1);
+#endif
+    const KernelTrace ref = run_blas1<TypeParam>(k);
+    for (const int t : threads) {
+#ifdef _OPENMP
+      omp_set_num_threads(t);
+#endif
+      for (const auto impl : {ecc::CrcImpl::software, ecc::CrcImpl::hardware}) {
+        if (impl == ecc::CrcImpl::hardware && !hw) continue;
+        ecc::set_crc32c_impl(impl);
+        expect_same_trace(run_blas1<TypeParam>(k), ref,
+                          std::string(names[k]) + (impl == ecc::CrcImpl::hardware ? " hw" : " sw") +
+                              " threads=" + std::to_string(t));
+      }
+    }
+  }
+  ecc::set_crc32c_impl(ecc::CrcImpl::auto_detect);
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
+}
+
+template <class VS, std::size_t G>
+void dot_and_axpy_match_per_group_loop(std::size_t n);
+
+TYPED_TEST(Blas1CodecTest, DotAndAxpyEqualThePerGroupLoopBitForBit) {
+  using VS = TypeParam;
+  constexpr std::size_t G = VS::kGroup;
+  // Sizes with full runs of four blocks (dot sums four side by side) and
+  // with a partial tail block, at every group size.
+  for (const std::size_t n : {std::size_t{1001}, std::size_t{9 * 256 + 37}}) {
+    SCOPED_TRACE(n);
+    dot_and_axpy_match_per_group_loop<VS, G>(n);
+  }
+}
+
+template <class VS, std::size_t G>
+void dot_and_axpy_match_per_group_loop(std::size_t n) {
+  Xoshiro256 rng(91);
+  std::vector<double> xr(n), yr(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    xr[i] = rng.uniform(-3, 3);
+    yr[i] = rng.uniform(-3, 3);
+  }
+  ProtectedVector<VS> x(n), y(n), yref(n);
+  x.assign(xr);
+  y.assign(yr);
+  yref.assign(yr);
+  // The per-group loop the kernels used to run: a fixed-order sum over
+  // aligned 64-group blocks, and a decode-update-encode per group.
+  const std::size_t ngroups = x.groups();
+  double sum = 0.0;
+  for (std::size_t g0 = 0; g0 < ngroups; g0 += 64) {
+    double acc = 0.0;
+    for (std::size_t g = g0; g < std::min(g0 + 64, ngroups); ++g) {
+      double vx[G], vy[G];
+      ASSERT_EQ(VS::decode_group(x.data() + g * G, vx), CheckOutcome::ok);
+      ASSERT_EQ(VS::decode_group(yref.data() + g * G, vy), CheckOutcome::ok);
+      for (std::size_t e = 0; e < G; ++e) acc += vx[e] * vy[e];
+    }
+    sum += acc;
+  }
+  const double got = dot(x, y);
+  EXPECT_EQ(std::memcmp(&got, &sum, sizeof sum), 0) << got << " vs " << sum;
+  for (std::size_t g = 0; g < ngroups; ++g) {
+    double vx[G], vy[G];
+    ASSERT_EQ(VS::decode_group(x.data() + g * G, vx), CheckOutcome::ok);
+    ASSERT_EQ(VS::decode_group(yref.data() + g * G, vy), CheckOutcome::ok);
+    for (std::size_t e = 0; e < G; ++e) vy[e] += 0.37 * vx[e];
+    VS::encode_group(vy, yref.data() + g * G);
+  }
+  axpy(0.37, x, y);
+  EXPECT_EQ(std::memcmp(y.data(), yref.data(), y.raw().size_bytes()), 0);
 }
 
 }  // namespace
