@@ -4,6 +4,7 @@
     python3 bench/ab.py --parent DIR --change DIR --seeds 11,12,13 \\
         [--holdout 1000003] [--seconds 20] [--workload NAME ...] \\
         [--traced-seconds 20] --out BENCH.json
+    python3 bench/ab.py --compare A.json B.json
 
 DIR is a full checkout of each side (for the parent, e.g. `git archive`
 of the parent commit unpacked into a scratch directory). For every workload
@@ -27,6 +28,13 @@ hold-out pair, and a verdict against the metric's BENCHMARK.json bound:
 
 Each run.py builds its side into that checkout's .bench_build/ first; build
 time is not measured.
+
+--compare reads two files this tool wrote (say the A/B of one change and of
+a later one) and runs no benchmark. Per workload it prints every per-layer
+metric whose traced hold-out value moved from A's change side to B's, ranked
+by the size of the relative move, so a shift between two committed A/Bs is
+pinned to a layer. Traced runs of different files ran in different hours, so
+a move inside either file's own parent/change noise means little.
 """
 import argparse
 import datetime
@@ -98,18 +106,54 @@ def summarise(spec_metric, parent_runs, change_runs):
             "verdict": verdict}
 
 
+def traced_change(report, workload):
+    return report["workloads"].get(workload, {}).get("per_layer_holdout", {}).get("change")
+
+
+def compare(path_a, path_b):
+    """Print the per-layer metrics that moved from file A to file B."""
+    with open(path_a) as f:
+        a = json.load(f)
+    with open(path_b) as f:
+        b = json.load(f)
+    for workload in sorted(set(a["workloads"]) | set(b["workloads"])):
+        ta, tb = traced_change(a, workload), traced_change(b, workload)
+        if not ta or not tb:
+            print("%s: no traced hold-out run in %s" % (
+                workload, " and ".join(p for p, t in ((path_a, ta), (path_b, tb)) if not t)))
+            continue
+        moved = []
+        for name in sorted(set(ta) & set(tb)):
+            va, vb = ta[name], tb[name]
+            if va != vb:
+                moved.append((name, va, vb, vb / va - 1.0 if va else float("inf")))
+        moved.sort(key=lambda m: -abs(m[3]))
+        print("%s: %d of %d per-layer metrics moved (%s -> %s, change side)" % (
+            workload, len(moved), len(set(ta) & set(tb)), path_a, path_b))
+        for name, va, vb, rel in moved:
+            print("  %-40s %12.4g -> %-12.4g %+8.1f%%" % (name, va, vb, 100 * rel))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", required=True)
-    ap.add_argument("--change", required=True)
-    ap.add_argument("--seeds", required=True, help="comma-separated development seeds")
+    ap.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"),
+                    help="rank the per-layer metrics that moved from A to B; runs nothing")
+    ap.add_argument("--parent")
+    ap.add_argument("--change")
+    ap.add_argument("--seeds", help="comma-separated development seeds")
     ap.add_argument("--holdout", type=int, default=1000003)
     ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--traced-seconds", type=float, default=0)
     ap.add_argument("--workload", action="append",
                     help="repeatable; default: every workload BENCHMARK.json gates")
-    ap.add_argument("--out", required=True)
+    ap.add_argument("--out")
     args = ap.parse_args()
+    if args.compare:
+        compare(*args.compare)
+        return
+    missing = [o for o in ("parent", "change", "seeds", "out") if getattr(args, o) is None]
+    if missing:
+        ap.error("the A/B run needs " + ", ".join("--" + o for o in missing))
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         spec = json.load(f)

@@ -508,8 +508,7 @@ int main(int argc, char** argv) {
 
   const auto csr = sparse::pad_rows_to_min_nnz(sparse::laplacian_2d(opts.nx, opts.ny),
                                                ElemCrc32c::kMinRowNnz);
-  const auto ell =
-      sparse::Ell<std::uint32_t>::from_csr(csr, ElemCrc32cTile::kMinRowNnz);
+  const auto ell = EllFormat::make_plain<std::uint32_t, ElemCrc32cTile>(csr);
 
   std::printf("\n## per-RHS cost vs batch size (matrix checks charged once per "
               "batch pass)\n");
@@ -520,11 +519,11 @@ int main(int argc, char** argv) {
   }
   if (opts.format_selected("ell")) {
     run_amortization<
-        ProtectedEll<std::uint32_t, schemes::ElemNone<std::uint32_t>,
-                     schemes::StructNone<std::uint32_t>>,
-        ProtectedEll<std::uint32_t, schemes::ElemCrc32cTile<std::uint32_t>,
-                     schemes::StructCrc32c<std::uint32_t>>>("ell", "crc32c-tile",
-                                                            ell, opts);
+        EllFormat::protected_matrix<std::uint32_t, ElemNone,
+                                    schemes::StructNone<std::uint32_t>>,
+        EllFormat::protected_matrix<std::uint32_t, ElemCrc32cTile,
+                                    schemes::StructCrc32c<std::uint32_t>>>(
+        "ell", "crc32c-tile", ell, opts);
   }
 
   std::printf("\n## solve service: p50/p99 request latency (ms) and throughput "

@@ -136,48 +136,6 @@ BLAS1_BENCH(BM_Axpy)
 BLAS1_BENCH(BM_Xpby)
 #undef BLAS1_BENCH
 
-/// AVX2 x-gather ablation for the ELL full-column path: with a schemeless x
-/// the slab kernel hands whole columns to ecc::gather_mul_add, which uses
-/// vpgatherqpd under --simd-impl vector and falls back to the (bit-identical)
-/// scalar loop under --simd-impl scalar. Arg: 0 = scalar, 1 = vector.
-struct EllGatherFixture {
-  using PM = ProtectedEll<std::uint32_t, schemes::ElemNone<std::uint32_t>,
-                          schemes::StructNone<std::uint32_t>>;
-  sparse::Ell<std::uint32_t> a;
-  PM pa;
-  ProtectedVector<VecNone> x, y;
-
-  EllGatherFixture() {
-    a = sparse::Ell<std::uint32_t>::from_csr(sparse::laplacian_2d(kGrid, kGrid));
-    pa = PM::from_plain(a);
-    x = ProtectedVector<VecNone>(a.ncols());
-    y = ProtectedVector<VecNone>(a.nrows());
-    Xoshiro256 rng(2);
-    for (std::size_t i = 0; i < x.size(); ++i) x.store(i, rng.uniform(-1, 1));
-  }
-};
-
-void BM_EllSpmvXGather(benchmark::State& state) {
-  static EllGatherFixture f;
-  ecc::set_simd_impl(state.range(0) != 0 ? ecc::SimdImpl::vector
-                                         : ecc::SimdImpl::scalar);
-  for (auto _ : state) {
-    spmv(f.pa, f.x, f.y, CheckMode::full);
-    benchmark::ClobberMemory();
-  }
-  ecc::set_simd_impl(ecc::SimdImpl::auto_detect);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * f.a.nnz()));
-}
-
-BENCHMARK(BM_EllSpmvXGather)
-    ->Name("BM_EllSpmvXGather/scalar")
-    ->Arg(0)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_EllSpmvXGather)
-    ->Name("BM_EllSpmvXGather/vector")
-    ->Arg(1)
-    ->Unit(benchmark::kMicrosecond);
-
 /// GroupReader ablation: sequential scans through a CRC-grouped vector with
 /// different cache sizes — Slots=1 thrashes under the 5-point stencil's
 /// three row streams, Slots=8 (the kernel default) does not.

@@ -7,7 +7,7 @@
 #include <string>
 
 #include "abft/element_schemes.hpp"
-#include "abft/row_schemes.hpp"
+#include "abft/structure_schemes.hpp"
 #include "abft/vector_schemes.hpp"
 #include "common/bits.hpp"
 #include "ecc/ecc.hpp"

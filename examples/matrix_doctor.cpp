@@ -53,11 +53,6 @@ using namespace abft;
   return a.values() == b.values() && a.cols() == b.cols() && a.row_ptr() == b.row_ptr();
 }
 
-[[nodiscard]] bool matrices_identical(const sparse::EllMatrix& a,
-                                      const sparse::EllMatrix& b) {
-  return a.values() == b.values() && a.cols() == b.cols() && a.row_nnz() == b.row_nnz();
-}
-
 [[nodiscard]] bool matrices_identical(const sparse::SellMatrix& a,
                                       const sparse::SellMatrix& b) {
   return a.values() == b.values() && a.cols() == b.cols() &&

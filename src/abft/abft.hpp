@@ -8,15 +8,12 @@
 #include "abft/dispatch.hpp"            // IWYU pragma: export
 #include "abft/element_schemes.hpp"     // IWYU pragma: export
 #include "abft/format_traits.hpp"       // IWYU pragma: export
-#include "abft/protected_csr64.hpp"     // IWYU pragma: export
 #include "abft/error_capture.hpp"       // IWYU pragma: export
 #include "abft/protected_csr.hpp"       // IWYU pragma: export
-#include "abft/protected_ell.hpp"       // IWYU pragma: export
 #include "abft/protected_sell.hpp"      // IWYU pragma: export
 #include "abft/protected_kernels.hpp"   // IWYU pragma: export
 #include "abft/protected_multivector.hpp"  // IWYU pragma: export
 #include "abft/protected_vector.hpp"    // IWYU pragma: export
-#include "abft/row_schemes.hpp"         // IWYU pragma: export
 #include "abft/scheme_errors.hpp"       // IWYU pragma: export
 #include "abft/structure_schemes.hpp"   // IWYU pragma: export
 #include "abft/tile_check.hpp"          // IWYU pragma: export

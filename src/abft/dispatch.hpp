@@ -20,8 +20,8 @@
 
 #include "abft/element_schemes.hpp"
 #include "abft/format_traits.hpp"
-#include "abft/row_schemes.hpp"
 #include "abft/scheme_errors.hpp"
+#include "abft/structure_schemes.hpp"
 #include "abft/vector_schemes.hpp"
 #include "ecc/crc32c.hpp"
 #include "ecc/scheme.hpp"
@@ -95,7 +95,7 @@ decltype(auto) dispatch_elem(ecc::Scheme s, F&& f) {
 
 /// Invoke `f.template operator()<RowScheme>()` for the row-pointer scheme
 /// matching \p s at index width \p Index. Every scheme has a layout at both
-/// widths (see row_schemes.hpp for the group-size table).
+/// widths (see structure_schemes.hpp for the group-size table).
 template <class Index = std::uint32_t, class F>
 decltype(auto) dispatch_row(ecc::Scheme s, F&& f) {
   switch (s) {

@@ -20,8 +20,8 @@
 ///
 /// All encode/decode logic lives once in the `schemes::` templates below;
 /// the two index widths differ only in masks, shifts and the SECDED codeword
-/// length, all derived from the Index type. `abft::ElemSed` etc. remain as
-/// 32-bit aliases; the 64-bit aliases live in schemes64.hpp.
+/// length, all derived from the Index type. `abft::ElemSed` etc. are the
+/// 32-bit aliases, `abft::Elem64Sed` etc. the 64-bit ones.
 ///
 /// Per-element schemes expose decode(); the row-granular CRC exposes
 /// encode_row()/decode_row(). The ProtectedCsr container dispatches with
@@ -407,5 +407,11 @@ using ElemSed = schemes::ElemSed<std::uint32_t>;
 using ElemSecded = schemes::ElemSecded<std::uint32_t>;
 using ElemCrc32c = schemes::ElemCrc32c<std::uint32_t>;
 using ElemCrc32cTile = schemes::ElemCrc32cTile<std::uint32_t>;
+
+/// 64-bit (128-bit element codeword) aliases — the §V-B wide-index setting.
+using Elem64None = schemes::ElemNone<std::uint64_t>;
+using Elem64Sed = schemes::ElemSed<std::uint64_t>;
+using Elem64Secded = schemes::ElemSecded<std::uint64_t>;
+using Elem64Crc32c = schemes::ElemCrc32c<std::uint64_t>;
 
 }  // namespace abft

@@ -1,22 +1,27 @@
 /// \file format_traits.hpp
 /// \brief The format axis of the protection stack.
 ///
-/// PR 1 unified the 32/64-bit stacks behind one width parameter; this layer
-/// does the same for the storage format. It has two faces:
+/// The 32/64-bit stacks share one width parameter; this layer does the same
+/// for the storage format. It has two faces:
 ///
-///   - MatrixTraits<PM>: compile-time traits of a *protected matrix type* —
-///     its format, plain (unprotected) counterpart and the per-thread row
-///     cursor the generic kernels in protected_kernels.hpp drive. Kernels
-///     and solvers talk only to this surface, never to ProtectedCsr /
-///     ProtectedEll internals.
-///   - Format tags (CsrFormat / EllFormat): the compile-time handle a
-///     *runtime* format selection dispatches onto (abft/dispatch.hpp). A tag
-///     maps (Index, ES, SS) onto the protected container and builds the
-///     plain matrix from the CSR assembly every generator/driver produces,
-///     applying the format's own minimum-row-size remedy (CSR pads rows for
-///     the per-row CRC; ELL only needs a minimum slab width).
+///   - MatrixTraits<PM>: the per-thread row cursor of a *protected matrix
+///     type*, which the generic kernels in protected_kernels.hpp drive.
+///     Kernels and solvers talk only to this surface and the containers'
+///     format-uniform accessors, never to container internals.
+///   - Format tags (CsrFormat / EllFormat / SellFormat): the compile-time
+///     handle a *runtime* format selection dispatches onto
+///     (abft/dispatch.hpp). A tag maps (Index, ES, SS) onto the protected
+///     container and builds the plain matrix from the CSR assembly every
+///     generator/driver produces, applying the format's own minimum-row-size
+///     remedy (CSR pads rows for the per-row CRC; the slab formats only need
+///     a minimum slab width).
+///
+/// There are two containers, not three: ELLPACK is SELL-C-sigma with one
+/// slice (C = nrows) and sigma = 1, so EllFormat maps onto ProtectedSell and
+/// only its make_plain differs from SellFormat's.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -26,10 +31,8 @@
 #include <utility>
 
 #include "abft/protected_csr.hpp"
-#include "abft/protected_ell.hpp"
 #include "abft/protected_sell.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/ell.hpp"
 #include "sparse/sell.hpp"
 #include "sparse/transform.hpp"
 
@@ -38,7 +41,8 @@ namespace abft {
 /// Sparse storage format of the protected matrix stack.
 enum class MatrixFormat : std::uint8_t {
   csr,   ///< compressed sparse row — the paper's setting (§V-B)
-  ell,   ///< ELLPACK(-R) — padded slabs + row widths; the stencil-shaped format
+  ell,   ///< ELLPACK(-R) — padded slabs + row widths; the stencil-shaped format,
+         ///< held as single-slice SELL
   sell,  ///< SELL-C-sigma — sliced ELLPACK with sigma-window row sorting
 };
 
@@ -57,36 +61,12 @@ struct MatrixTraits;
 
 template <class Index, class ES, class RS>
 struct MatrixTraits<ProtectedCsr<Index, ES, RS>> {
-  static constexpr MatrixFormat kFormat = MatrixFormat::csr;
-  using matrix_type = ProtectedCsr<Index, ES, RS>;
-  using plain_type = sparse::Csr<Index>;
   using cursor_type = CsrRowCursor<Index, ES, RS>;
-  /// Regions fault events from this container land in.
-  static constexpr Region kValuesRegion = Region::csr_values;
-  static constexpr Region kColsRegion = Region::csr_cols;
-  static constexpr Region kStructRegion = Region::csr_row_ptr;
-};
-
-template <class Index, class ES, class SS>
-struct MatrixTraits<ProtectedEll<Index, ES, SS>> {
-  static constexpr MatrixFormat kFormat = MatrixFormat::ell;
-  using matrix_type = ProtectedEll<Index, ES, SS>;
-  using plain_type = sparse::Ell<Index>;
-  using cursor_type = EllRowCursor<Index, ES, SS>;
-  static constexpr Region kValuesRegion = Region::ell_values;
-  static constexpr Region kColsRegion = Region::ell_cols;
-  static constexpr Region kStructRegion = Region::ell_row_width;
 };
 
 template <class Index, class ES, class SS>
 struct MatrixTraits<ProtectedSell<Index, ES, SS>> {
-  static constexpr MatrixFormat kFormat = MatrixFormat::sell;
-  using matrix_type = ProtectedSell<Index, ES, SS>;
-  using plain_type = sparse::Sell<Index>;
   using cursor_type = SellRowCursor<Index, ES, SS>;
-  static constexpr Region kValuesRegion = Region::sell_values;
-  static constexpr Region kColsRegion = Region::sell_cols;
-  static constexpr Region kStructRegion = Region::sell_structure;
 };
 
 /// A type the protected kernels can run over: any container with a
@@ -148,22 +128,26 @@ struct CsrFormat {
   }
 };
 
-/// Format tag: ELLPACK. make_plain converts the CSR assembly into padded
-/// slabs; the per-row CRC's minimum becomes a minimum slab *width* (the
-/// checksum lives in the first slots of the padded row), so no fill-in
-/// entries are ever added.
+/// Format tag: ELLPACK, held as single-slice SELL (C = nrows, sigma = 1):
+/// the slab is ELL's nrows x width column-major slab, slot (r, j) at
+/// j*nrows + r, exactly as sparse::Ell lays it out, under the identity
+/// permutation (which ProtectedSell then does not store). The per-row CRC's
+/// minimum becomes a minimum slab *width* (the checksum lives in the first
+/// slots of the padded row), so no fill-in entries are ever added.
 struct EllFormat {
   static constexpr MatrixFormat kFormat = MatrixFormat::ell;
 
   template <class Index>
-  using plain_matrix = sparse::Ell<Index>;
+  using plain_matrix = sparse::Sell<Index>;
 
   template <class Index, class ES, class SS>
-  using protected_matrix = ProtectedEll<Index, ES, SS>;
+  using protected_matrix = ProtectedSell<Index, ES, SS>;
 
   template <class Index, class ES, class SrcIndex>
-  [[nodiscard]] static sparse::Ell<Index> make_plain(const sparse::Csr<SrcIndex>& src) {
-    return sparse::Ell<Index>::from_csr(detail::csr_at_width<Index>(src), ES::kMinRowNnz);
+  [[nodiscard]] static sparse::Sell<Index> make_plain(const sparse::Csr<SrcIndex>& src) {
+    auto a = detail::csr_at_width<Index>(src);
+    const std::size_t c = std::max<std::size_t>(a.nrows(), 1);
+    return sparse::Sell<Index>::from_csr(a, ES::kMinRowNnz, c, 1);
   }
 };
 

@@ -19,7 +19,7 @@
 #include "abft/check_policy.hpp"
 #include "abft/element_schemes.hpp"
 #include "abft/error_capture.hpp"
-#include "abft/row_schemes.hpp"
+#include "abft/structure_schemes.hpp"
 #include "abft/scheme_errors.hpp"
 #include "abft/spmv_chunk.hpp"
 #include "common/aligned.hpp"
@@ -615,5 +615,9 @@ class CsrRowCursor {
   std::size_t ncols_;
   std::uint64_t checks_ = 0;
 };
+
+/// The §V-B wide-index container.
+template <class ES, class RS>
+using ProtectedCsr64 = ProtectedCsr<std::uint64_t, ES, RS>;
 
 }  // namespace abft

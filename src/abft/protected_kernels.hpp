@@ -19,9 +19,9 @@
 /// SpMV and SpMM are one format-generic pass driver, spmv_columns(): spmv is
 /// its one-column call, spmm its k-column call. It drives the per-thread row
 /// cursor published through MatrixTraits (abft/format_traits.hpp) and never
-/// touches a container's internals, so one kernel serves ProtectedCsr,
-/// ProtectedEll and ProtectedSell at either index width — and any future
-/// format that supplies a cursor.
+/// touches a container's internals, so one kernel serves ProtectedCsr and
+/// ProtectedSell (which also holds ELL) at either index width — and any
+/// future format that supplies a cursor.
 ///
 /// Error handling: outcomes are collected per operand in ErrorCaptures
 /// during the OpenMP region and committed afterwards to each operand's own
@@ -74,7 +74,8 @@ inline void commit_each(std::initializer_list<OperandCommit> operands) {
 /// its redundancy bits masked off. No decode, no record, no cache — once the
 /// pre-pass has corrected x in place, the masked storage is exactly the value
 /// a decode would return (and for an uncorrectable group, the same masked
-/// bits the decode would have handed back).
+/// bits the decode would have handed back). VecNone's mask is the identity,
+/// so one loader serves every scheme.
 template <class VS>
 struct MaskedXLoad {
   const double* x;
@@ -83,17 +84,6 @@ struct MaskedXLoad {
     return VS::mask(x[static_cast<std::size_t>(c)]);
   }
 };
-
-/// The chunk loop's x loader: the raw-gather marker for unprotected vectors
-/// (which licenses the slab cursors' SIMD gather), masked loads otherwise.
-template <class VS>
-[[nodiscard]] auto x_loader(const ProtectedVector<VS>& x) noexcept {
-  if constexpr (VS::kScheme == ecc::Scheme::none) {
-    return RawXLoad{x.data()};
-  } else {
-    return MaskedXLoad<VS>{x.data()};
-  }
-}
 
 static_assert(kSpmvChunkRows == kVecRunGroups,
               "a vector block and an SpMV chunk share the 64-entry granularity");
@@ -262,7 +252,8 @@ void spmv_columns(PM& a, std::span<const SpmvColumn<VS>> cols, CheckMode mode) {
         for (std::size_t j = 0; j < cols.size(); ++j) {
           detail::spmv_chunk<VS>(cursor, static_cast<std::size_t>(ci), nrows,
                                  cols[j].y->groups(), j == 0 ? mode : CheckMode::bounds_only,
-                                 detail::x_loader(*cols[j].x), cols[j].y->data());
+                                 detail::MaskedXLoad<VS>{cols[j].x->data()},
+                                 cols[j].y->data());
         }
       }
     }  // cursor destructor flushes its check counters
@@ -302,8 +293,9 @@ void spmv_columns(PM& a, std::span<const SpmvColumn<VS>> cols, CheckMode mode) {
 ///
 /// Rows are processed in chunks of whole y codeword groups; the cursor owns
 /// the per-row decode order, so each format keeps its natural memory access
-/// pattern (CSR: row streams; ELL: unit-stride slab columns; SELL: rows of
-/// each slice's slab, scattered through the permutation).
+/// pattern (CSR: row streams; ELL/SELL: unit-stride slab columns of each
+/// slice's share of the chunk, scattered through the permutation when sigma
+/// > 1).
 template <ProtectedMatrixType PM, class VS>
 void spmv(PM& a, ProtectedVector<VS>& x, ProtectedVector<VS>& y,
           CheckMode mode = CheckMode::full) {

@@ -1,24 +1,30 @@
 /// \file protected_sell.hpp
 /// \brief SELL-C-sigma matrix whose storage carries embedded redundancy —
-/// the paper's zero-overhead protection (§VI) applied to the third sparse
-/// format.
+/// the paper's zero-overhead protection (§VI) applied to the slab formats.
 ///
-/// The protected regions mirror CSR's and ELL's, reshaped by the format:
+/// This is the one slab container: ELLPACK is its single-slice case (C =
+/// nrows, sigma = 1; see abft::EllFormat), so ELL and SELL share the encode,
+/// the tile walk, verify_all, the row accessors and the SpMV cursor.
+///
+/// The protected regions mirror CSR's, reshaped by the format:
 ///   - elements: every (value, column) slot of every slice slab — padding
-///     included — protected by the same element schemes as CSR/ELL (Fig. 1).
+///     included — protected by the same element schemes as CSR (Fig. 1).
 ///     The row-granular CRC scheme covers one whole padded stored row
 ///     (slice_width slots, strided by the slice height C through the slab)
 ///     and keeps its checksum in the first four slots' top bytes, so every
-///     slice needs width >= 4 (Sell::from_csr's min_width hook). The
-///     tile-granular CRC (schemes::ElemCrc32cTile) instead checksums
+///     slice needs width >= 4 (Sell::from_csr's min_width hook): a 5-point
+///     stencil needs no fill-in at all, where CSR must pad boundary rows.
+///     The tile-granular CRC (schemes::ElemCrc32cTile) instead checksums
 ///     fixed-size unit-stride tiles of the concatenated slabs — same
-///     coverage and spare-bit accounting, contiguous checksum walks.
-///   - structure: three small index arrays — the per-slice widths, the
-///     per-stored-row lengths, and the row permutation — concatenated into
-///     one Struct*-protected array (each section padded to whole codeword
-///     groups). All three are bounded by tiny values (slice width / nrows),
-///     so every spare top bit is available, extending the
-///     cheap-second-region story from ELL's row widths.
+///     coverage and spare-bit accounting, contiguous checksum walks (the
+///     slab formats' fast CRC layout).
+///   - structure: the per-slice widths, the per-stored-row lengths and, when
+///     sigma > 1, the row permutation, concatenated into one Struct*-protected
+///     array (each section padded to whole codeword groups). All of them are
+///     bounded by tiny values (slice width / nrows), so every spare top bit is
+///     available — a far smaller and cheaper structural region than CSR's
+///     row pointers. With sigma = 1 the permutation is the identity and is
+///     not stored, so the array is [slice widths | row lengths].
 ///
 /// Derived metadata (the per-slice slot offsets and the inverse
 /// permutation) is kept unprotected alongside the container's scalar fields:
@@ -45,9 +51,30 @@
 #include "abft/tile_check.hpp"
 #include "common/aligned.hpp"
 #include "common/fault_log.hpp"
+#include "ecc/simd.hpp"
 #include "sparse/sell.hpp"
 
 namespace abft {
+
+namespace detail {
+
+/// Cut stored rows [i0, i1) at slice boundaries and call
+/// `body(s, i, rows, base)` for each piece: rows [i, i + rows) of slice s,
+/// whose slot (i + k, j) is base + j*C + k. The encode and the SpMV cursor
+/// both walk the slabs in these pieces, so a 64-row segment of a tall slice
+/// (ELL) and several short slices inside one segment (SELL) are one loop.
+template <class Body>
+void for_each_slice_piece(const std::size_t* slice_ptr, std::size_t c, std::size_t i0,
+                          std::size_t i1, Body&& body) {
+  for (std::size_t i = i0; i < i1;) {
+    const std::size_t s = i < c ? 0 : i / c;  // one tall slice (ELL): no division
+    const std::size_t end = std::min((s + 1) * c, i1);
+    body(s, i, end - i, slice_ptr[s] + (i - s * c));
+    i = end;
+  }
+}
+
+}  // namespace detail
 
 /// Sparse matrix in SELL-C-sigma format, fully protected with no storage
 /// overhead.
@@ -60,9 +87,9 @@ namespace abft {
 ///            StructSecded / StructSecded128 / StructCrc32c at the same
 ///            width)
 ///
-/// Like ProtectedCsr/ProtectedEll the matrix is immutable after construction
-/// (paper §V-A), so encoding happens once in from_sell(). Reads go through
-/// the decoding accessors; corrections are written back in place.
+/// Like ProtectedCsr the matrix is immutable after construction (paper §V-A),
+/// so encoding happens once in from_sell(). Reads go through the decoding
+/// accessors; corrections are written back in place.
 ///
 /// The permutation must stay within aligned 64-row blocks (the SpMV chunk
 /// granularity, detail::kSpmvChunkRows): each chunk then scatters only into
@@ -89,11 +116,12 @@ class ProtectedSell {
 
   /// Encode \p a. Throws std::invalid_argument when the matrix violates the
   /// scheme's range constraints: the column bound is the element scheme's,
-  /// the structure bound requires every slice width and row index to fit
-  /// SS::kValueMask, the per-row CRC needs every slice width >= 4 (build
-  /// with Sell::from_csr(a, ES::kMinRowNnz)), and the permutation must be
-  /// local to aligned 64-row blocks (any sort window dividing 64 — the
-  /// default — qualifies).
+  /// the structure bound requires every slice width (and, when a
+  /// permutation is stored, every row index) to fit SS::kValueMask, the
+  /// per-row CRC needs every slice width >= 4 (build with
+  /// Sell::from_csr(a, ES::kMinRowNnz)), and the permutation must be local
+  /// to aligned 64-row blocks (any sort window dividing 64 — the default —
+  /// qualifies; under sort window 1 Sell::validate requires the identity).
   ///
   /// \p tile_slots selects the crc32c-tile geometry (power of two in
   /// [16, 256]; 0 = the default 64). It is validated whenever non-zero and
@@ -103,6 +131,7 @@ class ProtectedSell {
                                  DuePolicy policy = DuePolicy::throw_exception,
                                  std::size_t tile_slots = 0) {
     a.validate();
+    const bool permuted = a.sort_window() > 1;
     if (a.ncols() > 0 && a.ncols() - 1 > ES::kColMask) {
       throw std::invalid_argument(
           "ProtectedSell: matrix has too many columns for the element scheme (max " +
@@ -116,7 +145,7 @@ class ProtectedSell {
             std::to_string(static_cast<std::uint64_t>(SS::kValueMask)) + ")");
       }
     }
-    if (a.nrows() > 0 && a.nrows() - 1 > SS::kValueMask) {
+    if (permuted && a.nrows() > 0 && a.nrows() - 1 > SS::kValueMask) {
       throw std::invalid_argument(
           "ProtectedSell: row count exceeds the structure scheme's value range (max " +
           std::to_string(static_cast<std::uint64_t>(SS::kValueMask) + 1) + " rows)");
@@ -133,8 +162,10 @@ class ProtectedSell {
         }
       }
     }
-    for (std::size_t i = 0; i < a.nrows(); ++i) {
-      if (i / detail::kSpmvChunkRows != a.perm()[i] / detail::kSpmvChunkRows) {
+    // Sell::validate() has proved a sort window of 1 holds the identity.
+    for (std::size_t i = 0; permuted && i < a.nrows(); ++i) {
+      const std::size_t p = a.perm()[i];
+      if (i / detail::kSpmvChunkRows != p / detail::kSpmvChunkRows) {
         throw std::invalid_argument(
             "ProtectedSell: the row permutation crosses an aligned " +
             std::to_string(detail::kSpmvChunkRows) +
@@ -156,25 +187,29 @@ class ProtectedSell {
     p.policy_ = policy;
     if (tile_slots != 0) p.tile_geom_ = TileGeometry(tile_slots);
     p.slice_ptr_.assign(a.slice_ptr().begin(), a.slice_ptr().end());
-    p.seen_epoch_.assign(p.nrows_, 0);
-    p.inv_perm_.assign(p.nrows_, 0);
-    for (std::size_t i = 0; i < p.nrows_; ++i) p.inv_perm_[a.perm()[i]] = i;
+    p.widths_.assign(a.slice_widths().begin(), a.slice_widths().end());
+    if (permuted) {
+      p.seen_epoch_.assign(p.nrows_, 0);
+      p.inv_perm_.assign(p.nrows_, 0);
+      for (std::size_t i = 0; i < p.nrows_; ++i) p.inv_perm_[a.perm()[i]] = i;
+    }
 
     // Structure array: [slice widths | row lengths | permutation], each
     // section padded to whole groups (padding holds 0 — a valid width,
-    // length and row index — so every group encodes cleanly).
+    // length and row index — so every group encodes cleanly). Under sigma = 1
+    // the permutation section is empty.
     const auto padded = [](std::size_t n) {
       return (n + SS::kGroup - 1) / SS::kGroup * SS::kGroup;
     };
     p.rl_off_ = padded(p.nslices_);
     p.perm_off_ = p.rl_off_ + padded(p.nrows_);
-    p.structure_.assign(p.perm_off_ + padded(p.nrows_), 0);
+    p.structure_.assign(p.perm_off_ + (permuted ? padded(p.nrows_) : 0), 0);
     for (std::size_t s = 0; s < p.nslices_; ++s) {
       p.structure_[s] = static_cast<Index>(a.slice_width(s));
     }
     for (std::size_t i = 0; i < p.nrows_; ++i) {
       p.structure_[p.rl_off_ + i] = a.row_nnz()[i];
-      p.structure_[p.perm_off_ + i] = a.perm()[i];
+      if (permuted) p.structure_[p.perm_off_ + i] = a.perm()[i];
     }
     for (std::size_t g = 0; g < p.structure_.size() / SS::kGroup; ++g) {
       index_type group[SS::kGroup];
@@ -186,38 +221,48 @@ class ProtectedSell {
 
     // Elements: every slot of every slice (padding and virtual rows
     // included) becomes a valid codeword, so integrity sweeps need no
-    // knowledge of which slots are real. Each slice's slab is one contiguous
-    // segment, so a static parallel loop over slices copies + encodes in the
-    // same order the SpMV cursor streams — the first touch of every slab
-    // page lands on the node of the thread that will read it.
+    // knowledge of which slots are real. The copy + encode runs over the
+    // same aligned 64-row segments the SpMV cursor reads with (one
+    // unit-stride run per slab column of each slice piece), so on a
+    // first-touch NUMA policy each thread places the pages it will stream —
+    // for a tall single slice (ELL) as much as for many short ones.
     p.values_.resize(a.values().size());
     p.cols_.resize(a.cols().size());
-    const std::size_t nslices = p.nslices_;
+    constexpr std::size_t kChunk = detail::kSpmvChunkRows;
+    const std::size_t stored = p.nslices_ * p.slice_;  // virtual rows included
+    const std::size_t nchunks = (stored + kChunk - 1) / kChunk;
 #pragma omp parallel for schedule(static) if (p.nrows_ >= kParallelRows)
-    for (std::int64_t si = 0; si < static_cast<std::int64_t>(nslices); ++si) {
-      const std::size_t s = static_cast<std::size_t>(si);
-      const std::size_t k0 = p.slice_ptr_[s];
-      const std::size_t k1 = p.slice_ptr_[s + 1];
-      std::copy(a.values().begin() + k0, a.values().begin() + k1,
-                p.values_.begin() + k0);
-      std::copy(a.cols().begin() + k0, a.cols().begin() + k1, p.cols_.begin() + k0);
-      if constexpr (ES::kRowGranular) {
-        const std::size_t width = a.slice_width(s);
-        for (std::size_t e = 0; e < p.slice_; ++e) {
-          ES::encode_row(p.values_.data() + k0 + e, p.cols_.data() + k0 + e, width,
-                         p.slice_);
-        }
-      } else if constexpr (!ES::kTileGranular && ES::kScheme != ecc::Scheme::none) {
-        for (std::size_t k = k0; k < k1; ++k) {
-          ES::encode(p.values_[k], p.cols_[k]);
-        }
-      }
+    for (std::int64_t ci = 0; ci < static_cast<std::int64_t>(nchunks); ++ci) {
+      const std::size_t i0 = static_cast<std::size_t>(ci) * kChunk;
+      detail::for_each_slice_piece(
+          p.slice_ptr_.data(), p.slice_, i0, std::min(i0 + kChunk, stored),
+          [&](std::size_t s, std::size_t, std::size_t rows, std::size_t base) {
+            const std::size_t width = a.slice_width(s);
+            for (std::size_t j = 0; j < width; ++j) {
+              const std::size_t k0 = base + j * p.slice_;
+              std::copy(a.values().begin() + k0, a.values().begin() + k0 + rows,
+                        p.values_.begin() + k0);
+              std::copy(a.cols().begin() + k0, a.cols().begin() + k0 + rows,
+                        p.cols_.begin() + k0);
+              if constexpr (!ES::kRowGranular && !ES::kTileGranular &&
+                            ES::kScheme != ecc::Scheme::none) {
+                for (std::size_t k = k0; k < k0 + rows; ++k) ES::encode(p.values_[k], p.cols_[k]);
+              }
+            }
+            if constexpr (ES::kRowGranular) {
+              // A row codeword only touches slots of its own stored row.
+              for (std::size_t k = 0; k < rows; ++k) {
+                ES::encode_row(p.values_.data() + base + k, p.cols_.data() + base + k,
+                               width, p.slice_);
+              }
+            }
+          });
     }
     if constexpr (ES::kTileGranular) {
       // Unit-stride tiles over the concatenated slice slabs; the per-slice
       // width >= 4 gate above guarantees >= 4 slots whenever any exist.
-      // Tiles may straddle slice boundaries, so they are encoded in a second
-      // pass after every slot value has landed.
+      // Tiles may straddle the segments above, so they are encoded in a
+      // second pass after every slot value has landed.
       const TileGeometry geom = p.tile_geom_;
       const std::size_t ntiles = geom.num_tiles(p.values_.size());
 #pragma omp parallel for schedule(static) if (p.nrows_ >= kParallelRows)
@@ -242,6 +287,8 @@ class ProtectedSell {
   [[nodiscard]] std::size_t ncols() const noexcept { return ncols_; }
   [[nodiscard]] std::size_t nnz() const noexcept { return nnz_; }
   [[nodiscard]] std::size_t slice_height() const noexcept { return slice_; }
+  /// False under sort window 1: the permutation is the identity, not stored.
+  [[nodiscard]] bool permuted() const noexcept { return window_ > 1; }
   [[nodiscard]] std::size_t nslices() const noexcept { return nslices_; }
   [[nodiscard]] std::size_t slots() const noexcept { return values_.size(); }
   /// Geometry the crc32c-tile slab was encoded with (default for other
@@ -259,8 +306,9 @@ class ProtectedSell {
   [[nodiscard]] index_type* cols_data() noexcept { return cols_.data(); }
   [[nodiscard]] std::span<double> raw_values() noexcept { return values_; }
   [[nodiscard]] std::span<index_type> raw_cols() noexcept { return cols_; }
-  /// Format-uniform name for the structural index array (SELL: slice widths
-  /// + row lengths + permutation, in that order, each section group-padded).
+  /// Format-uniform name for the structural index array: slice widths, row
+  /// lengths and (sigma > 1 only) the permutation, in that order, each
+  /// section group-padded.
   [[nodiscard]] std::span<index_type> raw_structure() noexcept { return structure_; }
 
   /// Section bases within the structure array (cursor plumbing). The group
@@ -281,10 +329,11 @@ class ProtectedSell {
   }
   /// Derived (unprotected, range-guarded) slice offsets in slots.
   [[nodiscard]] const std::size_t* slice_ptr() const noexcept { return slice_ptr_.data(); }
+  [[nodiscard]] const std::size_t* derived_widths() const noexcept { return widths_.data(); }
   /// Construction-time width of slice \p s, derived from the slot offsets —
   /// element sweeps use this so a structural DUE cannot blind them.
   [[nodiscard]] std::size_t derived_width(std::size_t s) const noexcept {
-    return (slice_ptr_[s + 1] - slice_ptr_[s]) / slice_;
+    return widths_[s];
   }
 
   /// Checked slice-width read (slow path; kernels use the cursor's cached
@@ -402,13 +451,15 @@ class ProtectedSell {
         if (rl > w || rl > dw) bounds_hit(rl_off_ + i);
       }
     }
-    ++sweep_epoch_;
-    for (std::size_t i = 0; i < nrows_; ++i) {
-      const index_type p = structure_[perm_off_ + i] & SS::kValueMask;
-      if (p >= nrows_ || seen_epoch_[p] == sweep_epoch_) {
-        bounds_hit(perm_off_ + i);
-      } else {
-        seen_epoch_[p] = sweep_epoch_;
+    if (permuted()) {
+      ++sweep_epoch_;
+      for (std::size_t i = 0; i < nrows_; ++i) {
+        const index_type p = structure_[perm_off_ + i] & SS::kValueMask;
+        if (p >= nrows_ || seen_epoch_[p] == sweep_epoch_) {
+          bounds_hit(perm_off_ + i);
+        } else {
+          seen_epoch_[p] = sweep_epoch_;
+        }
       }
     }
 
@@ -473,6 +524,7 @@ class ProtectedSell {
       } else {
         out.row_nnz()[i] = rl;
       }
+      if (!permuted()) continue;  // the constructor's identity stands
       const index_type p = checked_struct_read(perm_off_ + i);
       if (p >= nrows_ || used[p]) {
         if (log_ != nullptr) log_->record_bounds_violation(Region::sell_structure, i);
@@ -543,10 +595,11 @@ class ProtectedSell {
   }
 
  private:
-  /// Stored position of original row \p r, or kNoPos (with a logged bounds
-  /// violation) when the derived inverse permutation and the protected
-  /// permutation disagree.
+  /// Stored position of original row \p r (r itself under sigma = 1), or
+  /// kNoPos (with a logged bounds violation) when the derived inverse
+  /// permutation and the protected permutation disagree.
   [[nodiscard]] std::size_t stored_pos(std::size_t r) {
+    if (!permuted() && r < nrows_) return r;
     const std::size_t pos = r < nrows_ ? inv_perm_[r] : kNoPos;
     if (pos < nrows_ && checked_struct_read(perm_off_ + pos) == r) return pos;
     if (log_ != nullptr) log_->record_bounds_violation(Region::sell_structure, r);
@@ -589,8 +642,11 @@ class ProtectedSell {
   aligned_uninit_vector<index_type> cols_;
   aligned_vector<index_type> structure_;
   std::vector<std::size_t> slice_ptr_;  ///< derived slot offsets (guarded)
-  std::vector<std::size_t> inv_perm_;   ///< derived inverse permutation (cross-checked)
-  std::vector<std::uint64_t> seen_epoch_;  ///< scratch for the bijectivity sweep
+  std::vector<std::size_t> widths_;     ///< derived slab widths, slice_ptr_'s steps / C
+  /// Derived inverse permutation (cross-checked) and the bijectivity sweep's
+  /// scratch; both empty under sigma = 1.
+  std::vector<std::size_t> inv_perm_;
+  std::vector<std::uint64_t> seen_epoch_;
   std::uint64_t sweep_epoch_ = 0;
   TileGeometry tile_geom_{};
   FaultLog* log_ = nullptr;
@@ -658,22 +714,25 @@ class StructSectionReader {
   Index decoded_[SS::kGroup] = {};
 };
 
-/// Per-thread row accessor driving SpMV over one protected SELL matrix — the
-/// SELL counterpart of CsrRowCursor/EllRowCursor behind the same
-/// accumulate() surface (see abft/format_traits.hpp).
+/// Per-thread row accessor driving SpMV over one protected slab matrix — the
+/// slab counterpart of CsrRowCursor behind the same accumulate() surface
+/// (see abft/format_traits.hpp), serving ELL (one slice of C = nrows rows)
+/// and SELL (many short slices) alike.
 ///
-/// Each stored row of a slice lives at stride C inside the slice's own small
-/// slab (C * width * 8 bytes — L1-resident), so rows are accumulated
-/// CSR-style with the sum in a register while the whole traversal still
-/// streams one contiguous slab after another; sigma-sorting keeps the inner
-/// trip counts uniform within a slice. Partial sums accumulate in
-/// ascending-slot order — bit-identical to the CSR traversal of the same
-/// matrix — and each finished sum is scattered through the (protected,
-/// range-guarded) permutation into a zero-initialised segment buffer that
-/// leaves through the store sink in index order. The block-local permutation
-/// contract (see ProtectedSell) keeps every target inside the 64-row
-/// segment; a corrupt permutation entry degrades to a zeroed row, never a
-/// missing or out-of-range store.
+/// A 64-row segment is cut at slice boundaries into blocks (a block is the
+/// rows one slice shares with the segment). Each block's structure and
+/// element codewords are verified first; the sums then read masked storage,
+/// slab column by slab column for a tall slice (unit-stride loads across the
+/// block) or row by row for a short one. Either way each row's partial sum
+/// accumulates in ascending-slot order — bit-identical to the CSR traversal
+/// of the same matrix. Finished sums land in the segment buffer directly
+/// (sigma = 1) or through the protected, range-guarded permutation
+/// (sigma > 1); the block-local permutation contract (see ProtectedSell)
+/// keeps every target inside the segment, and a corrupt permutation entry
+/// degrades to a zeroed row, never a missing or out-of-range store. The
+/// row-granular CRC scheme forces a strided per-row decode first; that is the
+/// price of a row codeword in a column-major layout and shows up honestly in
+/// the benches.
 template <class Index, class ES, class SS>
 class SellRowCursor {
  public:
@@ -706,9 +765,11 @@ class SellRowCursor {
         values_(m.values_data()),
         cols_(m.cols_data()),
         slice_ptr_(m.slice_ptr()),
+        widths_(m.derived_widths()),
         nrows_(m.nrows()),
         ncols_(m.ncols()),
-        slice_(m.slice_height()) {}
+        slice_(m.slice_height()),
+        permuted_(m.permuted()) {}
 
   ~SellRowCursor() { flush_checks(); }
   SellRowCursor(const SellRowCursor&) = delete;
@@ -728,138 +789,37 @@ class SellRowCursor {
     sw_.invalidate();
     rl_.invalidate();
     pr_.invalidate();
-    // Hot state lives in locals for the duration of the call, as in
-    // CsrRowCursor::accumulate — the member loads would otherwise be
-    // re-issued inside the slab loops.
-    double* const values = values_;
-    Index* const cols = cols_;
-    const std::size_t ncols = ncols_;
-    const std::size_t slice = slice_;
-    std::uint64_t checks = checks_;
-
     for (std::size_t done = 0; done < n; done += kSeg) {
       const std::size_t seg0 = first_row + done;
       const std::size_t count = std::min(kSeg, n - done);
-      // Finished sums land here through the permutation; rows dropped by the
-      // scatter guard stay zero. One sequential store pass per segment keeps
-      // the sink writing in index order.
-      double out[kSeg] = {};
-
-      std::size_t i = seg0;
-      while (i < seg0 + count) {
-        const std::size_t s = i / slice;
-        const std::size_t i1 = std::min((s + 1) * slice, seg0 + count);
-        const std::size_t rows = i1 - i;
-        const std::size_t true_width = (slice_ptr_[s + 1] - slice_ptr_[s]) / slice;
-        const std::size_t base = slice_ptr_[s] + (i - s * slice);
-
-        // Decoded slice width, guarded against the slab extent so a corrupt
-        // width can never walk a row out of its slice.
-        std::size_t w =
-            mode == CheckMode::full ? sw_.get(s) : sw_.get_bounds_only(s);
-        if (w > true_width) [[unlikely]] {
-          capture_->record_bounds(Region::sell_structure, s);
-          w = true_width;
-        }
-
-        // Row-granular element scheme: verify each stored row codeword once
-        // up front; reads below then mask, exactly as in the CSR/ELL loops.
-        if constexpr (ES::kRowGranular) {
-          if (mode == CheckMode::full) {
-            for (std::size_t k = 0; k < rows; ++k) {
-              const auto outcome =
-                  ES::decode_row(values + base + k, cols + base + k, true_width, slice);
-              ++checks;
-              capture_->record(Region::sell_values, outcome, i + k);
+      // Finished sums in stored-row order land here; under sigma > 1 they
+      // arrive through the permutation and rows dropped by the scatter guard
+      // stay zero. One sequential store pass per segment keeps the sink
+      // writing in index order.
+      double out[kSeg];
+      if (permuted_) std::fill(out, out + count, 0.0);
+      detail::for_each_slice_piece(
+          slice_ptr_, slice_, seg0, seg0 + count,
+          [&](std::size_t s, std::size_t i, std::size_t rows, std::size_t base) {
+            if (!permuted_) {
+              accumulate_block(s, i, rows, base, mode, xload, out + (i - seg0));
+              return;
             }
-          }
-        }
-        // Tile-codeword scheme: prove the tiles covering this segment's
-        // share of the (L1-resident, contiguous) slice slab before the
-        // masked row loop reads it. Adjacent slices share boundary tiles;
-        // the verifier's cached tile id keeps those checked once.
-        if constexpr (ES::kTileGranular) {
-          if (mode == CheckMode::full && true_width > 0) {
-            tiles_.ensure_range(base, base + (true_width - 1) * slice + rows);
-          }
-        }
-
-        for (std::size_t k = 0; k < rows; ++k) {
-          // Row length, guarded against the slice width.
-          std::size_t rl =
-              mode == CheckMode::full ? rl_.get(i + k) : rl_.get_bounds_only(i + k);
-          if (rl > w) [[unlikely]] {
-            capture_->record_bounds(Region::sell_structure, i + k);
-            rl = 0;
-          }
-
-          const std::size_t row_base = base + k;
-          double sum = 0.0;
-          if constexpr (!ES::kRowGranular && !ES::kTileGranular &&
-                        ES::kScheme != ecc::Scheme::none) {
-            if (mode == CheckMode::full) {
-              for (std::size_t j = 0; j < rl; ++j) {
-                const std::size_t slot = row_base + j * slice;
-                double v;
-                Index c;
-                const auto outcome = ES::decode(values[slot], cols[slot], v, c);
-                ++checks;
-                capture_->record(Region::sell_values, outcome, slot);
-                if (c >= ncols) {
-                  capture_->record_bounds(Region::sell_cols, slot);
-                  continue;
-                }
-                sum += v * xload(c);
-              }
-              // Scatter twin #1 — keep identical to twin #2 below (kept
-              // inline in each branch: hoisting it into a helper or behind a
-              // merged control path costs a measured 4-7% on this hot loop).
-              // The permutation guard drops entries pointing outside the
-              // segment (possible only under silent corruption) with a
-              // bounds violation — never an out-of-range store.
-              const Index p = pr_.get(i + k);
+            double sums[kSeg];
+            accumulate_block(s, i, rows, base, mode, xload, sums);
+            for (std::size_t k = 0; k < rows; ++k) {
+              const Index p =
+                  mode == CheckMode::full ? pr_.get(i + k) : pr_.get_bounds_only(i + k);
               const std::size_t idx = static_cast<std::size_t>(p) - seg0;
               if (p >= nrows_ || idx >= count) [[unlikely]] {
                 capture_->record_bounds(Region::sell_structure, i + k);
               } else {
-                out[idx] = sum;
+                out[idx] = sums[k];
               }
-              continue;
             }
-          }
-          // Masked path: bounds_only iterations, plus full mode for the
-          // check-free element schemes (ElemNone decodes to the identity and
-          // the row-granular CRC already verified the row above) — the
-          // per-slot integrity checks it replaces are still counted so the
-          // FaultLog accounting matches the CSR/ELL cursors.
-          for (std::size_t j = 0; j < rl; ++j) {
-            const std::size_t slot = row_base + j * slice;
-            const Index c = cols[slot] & ES::kColMask;
-            if (c >= ncols) [[unlikely]] {
-              capture_->record_bounds(Region::sell_cols, slot);
-              continue;
-            }
-            sum += values[slot] * xload(c);
-          }
-          if constexpr (ES::kScheme == ecc::Scheme::none) {
-            if (mode == CheckMode::full) checks += rl;
-          }
-          // Scatter twin #2 — see twin #1 above.
-          const Index p =
-              mode == CheckMode::full ? pr_.get(i + k) : pr_.get_bounds_only(i + k);
-          const std::size_t idx = static_cast<std::size_t>(p) - seg0;
-          if (p >= nrows_ || idx >= count) [[unlikely]] {
-            capture_->record_bounds(Region::sell_structure, i + k);
-          } else {
-            out[idx] = sum;
-          }
-        }
-        i = i1;
-      }
-
+          });
       for (std::size_t k = 0; k < count; ++k) store(done + k, out[k]);
     }
-    checks_ = checks;
   }
 
   void flush_checks() noexcept {
@@ -876,6 +836,164 @@ class SellRowCursor {
  private:
   static constexpr std::size_t kSeg = detail::kSpmvChunkRows;
 
+  /// Row sums of stored rows [i, i + rows) of slice \p s into out[0, rows);
+  /// slot (i + k, j) is base + j*C + k.
+  template <class XLoad>
+  void accumulate_block(std::size_t s, std::size_t i, std::size_t rows, std::size_t base,
+                        CheckMode mode, XLoad&& xload, double* out) {
+    const std::size_t c = slice_;
+    // Decoded slice width, guarded against the slab extent so a corrupt
+    // width can never walk a row out of its slice; row lengths, guarded
+    // against that width. Blocks of equal-length rows (stencil interiors,
+    // sigma-sorted slices) have min == max, letting the main loop below run
+    // branch-free over whole slab columns.
+    const std::size_t true_width = widths_[s];
+    std::size_t w = mode == CheckMode::full ? sw_.get(s) : sw_.get_bounds_only(s);
+    if (w > true_width) [[unlikely]] {
+      capture_->record_bounds(Region::sell_structure, s);
+      w = true_width;
+    }
+    Index rl[kSeg];
+    std::size_t max_rl = 0;
+    std::size_t min_rl = w;
+    for (std::size_t k = 0; k < rows; ++k) {
+      rl[k] = mode == CheckMode::full ? rl_.get(i + k) : rl_.get_bounds_only(i + k);
+      if (rl[k] > w) [[unlikely]] {
+        capture_->record_bounds(Region::sell_structure, i + k);
+        rl[k] = 0;
+      }
+      max_rl = std::max<std::size_t>(max_rl, rl[k]);
+      min_rl = std::min<std::size_t>(min_rl, rl[k]);
+    }
+    // Row-granular element scheme: verify each stored row codeword once up
+    // front; reads below then mask, exactly as in the CSR row loop.
+    if constexpr (ES::kRowGranular) {
+      if (mode == CheckMode::full) {
+        for (std::size_t k = 0; k < rows; ++k) {
+          const auto outcome =
+              ES::decode_row(values_ + base + k, cols_ + base + k, true_width, c);
+          ++checks_;
+          capture_->record(Region::sell_values, outcome, i + k);
+        }
+      }
+    }
+    // Tile-codeword scheme: prove every tile this block's slab columns touch
+    // before the masked loop below reads them. Each touched range is a
+    // contiguous run of at most 64 slots intersecting 1-2 tiles, so the
+    // whole check pass is unit-stride; adjacent blocks share boundary tiles
+    // and the verifier's cache keeps those checked once.
+    if constexpr (ES::kTileGranular) {
+      if (mode == CheckMode::full) {
+        for (std::size_t j = 0; j < max_rl; ++j) {
+          tiles_.ensure_range(base + j * c, base + j * c + rows);
+        }
+      }
+    }
+    // Per-element schemes: verify every real slot of the block, one slab
+    // column at a time. Whole columns (every row reaches slot j) are
+    // contiguous runs of element codewords: ask the batch predicate — SIMD
+    // when the CPU has it — whether the whole run is clean, and count the
+    // checks it stands in for in bulk. A dirty run falls back to the
+    // per-element decoder for the identical corrections, records and counts
+    // the serial path makes. A decode leaves the storage holding exactly the
+    // value and (masked) column it returns — corrections are written back,
+    // and an uncorrectable codeword is left as it was read — so the masked
+    // loops below sum the same bits an inline decode would.
+    if constexpr (!ES::kRowGranular && !ES::kTileGranular &&
+                  ES::kScheme != ecc::Scheme::none) {
+      if (mode == CheckMode::full) {
+        for (std::size_t j = 0; j < max_rl; ++j) {
+          const std::size_t col = base + j * c;
+          if (j < min_rl) {
+            bool clean;
+            if constexpr (ES::kScheme == ecc::Scheme::sed) {
+              clean = ecc::sed_elements_clean(values_ + col, cols_ + col, rows);
+            } else {
+              clean = ecc::secded_elements_clean(values_ + col, cols_ + col, rows);
+            }
+            if (clean) {
+              checks_ += rows;
+              continue;
+            }
+          }
+          for (std::size_t k = 0; k < rows; ++k) {
+            if (j >= rl[k]) continue;
+            double v;
+            Index cc;
+            ++checks_;
+            capture_->record(Region::sell_values,
+                             ES::decode(values_[col + k], cols_[col + k], v, cc), col + k);
+          }
+        }
+      }
+    }
+    // ElemNone decodes to the identity: its full mode is the masked loop,
+    // with the checks it replaces counted in bulk so the FaultLog accounting
+    // matches the CSR cursor.
+    if constexpr (ES::kScheme == ecc::Scheme::none) {
+      if (mode == CheckMode::full) {
+        for (std::size_t k = 0; k < rows; ++k) checks_ += rl[k];
+      }
+    }
+
+    // The masked sums. A short slice's slab is L1-resident, so each row
+    // accumulates in a register at stride C, which suits ragged sigma-sorted
+    // rows; a tall slice (ELL) is walked slab column by slab column.
+    if (c <= kSeg) {
+      sum_rows(base, rows, rl, out, xload);
+    } else {
+      sum_columns(base, rows, rl, min_rl, max_rl, out, xload);
+    }
+  }
+
+  // The sum loops keep the hot state in locals: member loads would otherwise
+  // be re-issued after every store to out (a measured 4-7% on these loops).
+
+  template <class XLoad>
+  void sum_rows(std::size_t base, std::size_t rows, const Index* rl, double* out,
+                XLoad&& xload) {
+    const double* const values = values_;
+    const Index* const cols = cols_;
+    const std::size_t ncols = ncols_;
+    const std::size_t c = slice_;
+    for (std::size_t k = 0; k < rows; ++k) {
+      double sum = 0.0;
+      for (std::size_t j = 0; j < rl[k]; ++j) {
+        const std::size_t slot = base + k + j * c;
+        const Index col = cols[slot] & ES::kColMask;
+        if (col >= ncols) [[unlikely]] {
+          capture_->record_bounds(Region::sell_cols, slot);
+          continue;
+        }
+        sum += values[slot] * xload(col);
+      }
+      out[k] = sum;
+    }
+  }
+
+  /// Unit-stride loads across the block, branch-free over the slab columns
+  /// every row reaches.
+  template <class XLoad>
+  void sum_columns(std::size_t base, std::size_t rows, const Index* rl, std::size_t min_rl,
+                   std::size_t max_rl, double* out, XLoad&& xload) {
+    const double* const values = values_;
+    const Index* const cols = cols_;
+    const std::size_t ncols = ncols_;
+    std::fill(out, out + rows, 0.0);
+    for (std::size_t j = 0; j < max_rl; ++j) {
+      const std::size_t col0 = base + j * slice_;
+      const bool whole = j < min_rl;
+      for (std::size_t k = 0; k < rows; ++k) {
+        if (!whole && j >= rl[k]) continue;
+        const Index col = cols[col0 + k] & ES::kColMask;
+        if (col >= ncols) [[unlikely]] {
+          capture_->record_bounds(Region::sell_cols, col0 + k);
+          continue;
+        }
+        out[k] += values[col0 + k] * xload(col);
+      }
+    }
+  }
 
   ErrorCapture* capture_;
   StructSectionReader<Index, SS> sw_;
@@ -885,9 +1003,11 @@ class SellRowCursor {
   double* values_;
   Index* cols_;
   const std::size_t* slice_ptr_;
+  const std::size_t* widths_;
   std::size_t nrows_;
   std::size_t ncols_;
   std::size_t slice_;
+  bool permuted_;
   std::uint64_t checks_ = 0;
 };
 

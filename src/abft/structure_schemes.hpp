@@ -5,8 +5,9 @@
 /// A sparse format's structure is described by arrays of small unsigned
 /// integers whose most-significant bits are free to hold redundancy:
 ///   - CSR: the row-pointer vector (offsets bounded by NNZ);
-///   - ELLPACK: the row-width vector (per-row lengths bounded by the padded
-///     width, which is tiny — every spare bit is available).
+///   - ELL/SELL: slice widths, row lengths and the row permutation (bounded
+///     by the padded width or nrows, which are tiny — every spare bit is
+///     available).
 /// The same grouped codecs protect either array; only the bound that the
 /// caller must enforce against kValueMask differs per format.
 ///
@@ -23,8 +24,10 @@
 ///
 /// All encode/decode logic lives once in the `schemes::Struct*` templates
 /// below; group sizes and spare-bit counts are the only per-width differences
-/// and are derived from the Index type. The row-pointer names (`RowSed`,
-/// `Row64Secded`, ...) remain as aliases in row_schemes.hpp / schemes64.hpp.
+/// and are derived from the Index type. The CSR stack spells them with
+/// row-pointer names (`RowSed`, `Row64Secded`, ...), aliases at the end of
+/// this file. The caller-enforced bound for row pointers is NNZ <= kValueMask
+/// (NNZ < 2^28 for the grouped 32-bit schemes, < 2^56 at 64-bit width).
 ///
 /// decode_group() returns *masked* values (top bits zeroed); corrections are
 /// written back into storage.
@@ -253,4 +256,34 @@ struct StructCrc32c {
   }
 };
 
+/// Row-pointer spellings of the structure schemes (the CSR stack).
+template <class Index>
+using RowNone = StructNone<Index>;
+template <class Index>
+using RowSed = StructSed<Index>;
+template <class Index>
+using RowSecded = StructSecded<Index>;
+template <class Index>
+using RowSecded128 = StructSecded128<Index>;
+template <class Index>
+using RowCrc32c = StructCrc32c<Index>;
+
 }  // namespace abft::schemes
+
+namespace abft {
+
+/// 32-bit aliases — the paper's main setting (4 spare bits per entry).
+using RowNone = schemes::RowNone<std::uint32_t>;
+using RowSed = schemes::RowSed<std::uint32_t>;
+using RowSecded64 = schemes::RowSecded<std::uint32_t>;
+using RowSecded128 = schemes::RowSecded128<std::uint32_t>;
+using RowCrc32c = schemes::RowCrc32c<std::uint32_t>;
+
+/// 64-bit aliases — the §V-B wide-index setting.
+using Row64None = schemes::RowNone<std::uint64_t>;
+using Row64Sed = schemes::RowSed<std::uint64_t>;
+using Row64Secded = schemes::RowSecded<std::uint64_t>;
+using Row64Secded128 = schemes::RowSecded128<std::uint64_t>;
+using Row64Crc32c = schemes::RowCrc32c<std::uint64_t>;
+
+}  // namespace abft

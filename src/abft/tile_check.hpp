@@ -3,13 +3,13 @@
 /// (schemes::ElemCrc32cTile): checks whole unit-stride tiles of the physical
 /// slab on first touch, with bulk check accounting.
 ///
-/// The slab cursors (EllRowCursor / SellRowCursor) touch contiguous slot
-/// ranges — a 64-row slab column for ELL, a slice slab for SELL — and each
+/// The slab cursor (SellRowCursor, which serves ELL too) touches contiguous
+/// slot ranges — one slab column of a block of at most 64 rows — and each
 /// range intersects one or two tiles. The verifier remembers what it has
 /// proved (a last-tile fast path backed by a verified-tile bitmap, one byte
 /// per tile of the slab), so a traversal that re-enters a boundary tile —
-/// ELL's per-column chunk ranges straddle one whenever nrows is not a
-/// multiple of the tile size — never re-checksums it. Errors are deferred through the kernel's
+/// a tall slice's per-column chunk ranges straddle one whenever its height
+/// is not a multiple of the tile size — never re-checksums it. Errors are deferred through the kernel's
 /// ErrorCapture like every other cursor check.
 ///
 /// Under the thread-parallel SpMV a tile straddling two 64-row chunks is

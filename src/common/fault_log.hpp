@@ -32,12 +32,9 @@ enum class Region : std::uint8_t {
   csr_values = 0,   ///< CSR non-zero value vector (v)
   csr_cols,         ///< CSR column-index vector (y)
   csr_row_ptr,      ///< CSR row-pointer vector (x)
-  ell_values,       ///< ELL value slab (padded, column-major)
-  ell_cols,         ///< ELL column-index slab
-  ell_row_width,    ///< ELL per-row width (real-length) vector
-  sell_values,      ///< SELL value slabs (padded, per-slice column-major)
-  sell_cols,        ///< SELL column-index slabs
-  sell_structure,   ///< SELL structural array (slice widths + row lengths + permutation)
+  sell_values,      ///< slab values (SELL and ELL; padded, per-slice column-major)
+  sell_cols,        ///< slab column indices (SELL and ELL)
+  sell_structure,   ///< slab structural array (slice widths + row lengths [+ permutation])
   dense_vector,     ///< dense double-precision solver vector
   other,
 };
@@ -47,9 +44,6 @@ enum class Region : std::uint8_t {
     case Region::csr_values: return "csr_values";
     case Region::csr_cols: return "csr_cols";
     case Region::csr_row_ptr: return "csr_row_ptr";
-    case Region::ell_values: return "ell_values";
-    case Region::ell_cols: return "ell_cols";
-    case Region::ell_row_width: return "ell_row_width";
     case Region::sell_values: return "sell_values";
     case Region::sell_cols: return "sell_cols";
     case Region::sell_structure: return "sell_structure";

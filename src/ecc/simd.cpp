@@ -168,86 +168,6 @@ __attribute__((target("avx2"))) bool secded_clean_avx2(const double* values,
   return secded_clean_scalar(values + i, cols + i, n - i);
 }
 
-// ---------------------------------------------------------------------------
-// AVX2 x-gather for the slab cursors' whole-column fast path. Lanes are
-// independent accumulators (distinct out[i] per lane), so vectorisation
-// reorders nothing; mul and add stay separate instructions (the function
-// target is avx2 only, never fma), so no contraction can perturb the last
-// bit vs the scalar loop.
-// ---------------------------------------------------------------------------
-
-__attribute__((target("avx2"))) bool gather_avx2(double* out, const double* values,
-                                                 const std::uint32_t* cols,
-                                                 std::size_t n, const double* x,
-                                                 std::uint32_t colmask,
-                                                 std::size_t ncols) noexcept {
-  if (ncols == 0) return n == 0;
-  // Bounds pre-scan: the gather may only run when every masked column is in
-  // range (an out-of-range lane must reach the caller's recording loop, and
-  // must never be dereferenced). Unsigned compare via the sign-bit trick.
-  const __m128i mask4 = _mm_set1_epi32(static_cast<int>(colmask));
-  const __m128i sign4 = _mm_set1_epi32(static_cast<int>(0x80000000u));
-  const __m128i limit4 = _mm_xor_si128(
-      _mm_set1_epi32(static_cast<int>(static_cast<std::uint32_t>(ncols - 1))), sign4);
-  __m128i bad = _mm_setzero_si128();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i c = _mm_and_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(cols + i)), mask4);
-    bad = _mm_or_si128(bad, _mm_cmpgt_epi32(_mm_xor_si128(c, sign4), limit4));
-  }
-  if (!_mm_testz_si128(bad, bad)) return false;
-  for (std::size_t t = i; t < n; ++t) {
-    if ((cols[t] & colmask) >= ncols) return false;
-  }
-  for (i = 0; i + 4 <= n; i += 4) {
-    const __m128i c = _mm_and_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(cols + i)), mask4);
-    const __m256d xv = _mm256_i32gather_pd(x, c, 8);
-    const __m256d v = _mm256_loadu_pd(values + i);
-    const __m256d acc =
-        _mm256_add_pd(_mm256_loadu_pd(out + i), _mm256_mul_pd(v, xv));
-    _mm256_storeu_pd(out + i, acc);
-  }
-  for (; i < n; ++i) out[i] += values[i] * x[cols[i] & colmask];
-  return true;
-}
-
-__attribute__((target("avx2"))) bool gather_avx2(double* out, const double* values,
-                                                 const std::uint64_t* cols,
-                                                 std::size_t n, const double* x,
-                                                 std::uint64_t colmask,
-                                                 std::size_t ncols) noexcept {
-  if (ncols == 0) return n == 0;
-  const __m256i mask4 = _mm256_set1_epi64x(static_cast<long long>(colmask));
-  const __m256i sign4 =
-      _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ull));
-  const __m256i limit4 = _mm256_xor_si256(
-      _mm256_set1_epi64x(static_cast<long long>(ncols - 1)), sign4);
-  __m256i bad = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i c = _mm256_and_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cols + i)), mask4);
-    bad = _mm256_or_si256(bad, _mm256_cmpgt_epi64(_mm256_xor_si256(c, sign4), limit4));
-  }
-  if (!_mm256_testz_si256(bad, bad)) return false;
-  for (std::size_t t = i; t < n; ++t) {
-    if ((cols[t] & colmask) >= ncols) return false;
-  }
-  for (i = 0; i + 4 <= n; i += 4) {
-    const __m256i c = _mm256_and_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cols + i)), mask4);
-    const __m256d xv = _mm256_i64gather_pd(x, c, 8);
-    const __m256d v = _mm256_loadu_pd(values + i);
-    const __m256d acc =
-        _mm256_add_pd(_mm256_loadu_pd(out + i), _mm256_mul_pd(v, xv));
-    _mm256_storeu_pd(out + i, acc);
-  }
-  for (; i < n; ++i) out[i] += values[i] * x[cols[i] & colmask];
-  return true;
-}
-
 bool detect_avx2() noexcept {
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
   if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
@@ -317,31 +237,6 @@ bool secded_elements_clean(const double* values, const std::uint64_t* cols,
   if (use_vector()) return secded_clean_avx2(values, cols, n);
 #endif
   return secded_clean_scalar(values, cols, n);
-}
-
-// When the scalar implementation is selected the caller's own loop runs
-// (returning false here keeps the non-SIMD path byte-for-byte the code it
-// always was, which is what --simd-impl scalar is for).
-bool gather_mul_add(double* out, const double* values, const std::uint32_t* cols,
-                    std::size_t n, const double* x, std::uint32_t colmask,
-                    std::size_t ncols) noexcept {
-#if defined(ABFT_HAVE_AVX2_KERNELS)
-  if (use_vector()) return gather_avx2(out, values, cols, n, x, colmask, ncols);
-#else
-  (void)out, (void)values, (void)cols, (void)n, (void)x, (void)colmask, (void)ncols;
-#endif
-  return false;
-}
-
-bool gather_mul_add(double* out, const double* values, const std::uint64_t* cols,
-                    std::size_t n, const double* x, std::uint64_t colmask,
-                    std::size_t ncols) noexcept {
-#if defined(ABFT_HAVE_AVX2_KERNELS)
-  if (use_vector()) return gather_avx2(out, values, cols, n, x, colmask, ncols);
-#else
-  (void)out, (void)values, (void)cols, (void)n, (void)x, (void)colmask, (void)ncols;
-#endif
-  return false;
 }
 
 }  // namespace abft::ecc

@@ -59,23 +59,4 @@ void set_simd_impl(SimdImpl impl) noexcept;
                                          const std::uint64_t* cols,
                                          std::size_t n) noexcept;
 
-/// Vectorised x-gather for the slab cursors' whole-column fast path:
-/// out[i] += values[i] * x[cols[i] & colmask] for i in [0, n), each i an
-/// independent accumulator lane (no reassociation, no FMA contraction — the
-/// result is bit-identical to the scalar loop).
-///
-/// Returns true when the whole run was applied. Returns false — leaving
-/// \p out untouched — when any masked column is >= ncols (the caller's
-/// scalar loop must run to record the bounds violations), or when the
-/// scalar implementation is selected / AVX2 is unavailable (the caller's
-/// loop *is* the scalar implementation).
-[[nodiscard]] bool gather_mul_add(double* out, const double* values,
-                                  const std::uint32_t* cols, std::size_t n,
-                                  const double* x, std::uint32_t colmask,
-                                  std::size_t ncols) noexcept;
-[[nodiscard]] bool gather_mul_add(double* out, const double* values,
-                                  const std::uint64_t* cols, std::size_t n,
-                                  const double* x, std::uint64_t colmask,
-                                  std::size_t ncols) noexcept;
-
 }  // namespace abft::ecc

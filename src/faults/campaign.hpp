@@ -29,7 +29,7 @@ enum class Target : std::uint8_t {
   any,             ///< uniformly over the format's regions, weighted by size
   ell_values,      ///< ELL value slab (padding slots included)
   ell_cols,        ///< ELL column-index slab
-  ell_row_width,   ///< ELL per-row width vector
+  ell_row_width,   ///< ELL structure array (slab width + per-row widths)
   sell_values,     ///< SELL value slabs (padding slots included)
   sell_cols,       ///< SELL column-index slabs
   sell_structure,  ///< SELL slice-width / row-length / permutation array

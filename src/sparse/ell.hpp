@@ -15,8 +15,12 @@
 /// This is exactly the shape TeaLeaf's 5-point stencils want: a near-constant
 /// row length means almost no padding waste, SpMV streams the slabs with unit
 /// stride, and the CSR row-pointer array (m+1 offsets) collapses into m tiny
-/// row widths — a smaller, cheaper structural region to protect (see
-/// abft/protected_ell.hpp).
+/// row widths — a smaller, cheaper structural region to protect.
+///
+/// The protected stack holds ELL as single-slice SELL (sparse::Sell with
+/// C = nrows and sigma = 1, abft::EllFormat), whose slab is this one slot for
+/// slot. This class stays as the plain reference that layout is tested
+/// against, and as the baseline SpMV kernel.
 ///
 /// The index width is a template parameter, mirroring sparse::Csr: 32-bit
 /// indices (`EllMatrix`) for the paper's main setting, 64-bit (`Ell64Matrix`)
@@ -60,7 +64,7 @@ class Ell {
 
   /// Convert from CSR. The slab width is the longest row, or \p min_width if
   /// that is larger (protection schemes that store per-row redundancy in the
-  /// first slots need a minimum width — see ProtectedEll). Padding slots get
+  /// first slots need a minimum width — see ProtectedSell). Padding slots get
   /// value 0.0 and the row's last real column (an in-range index).
   static Ell from_csr(const Csr<Index>& a, std::size_t min_width = 0) {
     std::size_t width = min_width;

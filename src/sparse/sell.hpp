@@ -27,6 +27,13 @@
 /// contiguous — the layout kokkos-kernels uses to close exactly the
 /// ELL-vs-CSR single-thread gap this repo's ROADMAP tracks.
 ///
+/// ELLPACK itself is the special case C = nrows, sigma = 1 (Kreutzer et al.,
+/// arXiv:1307.6209): one slice whose slab is the nrows x width column-major
+/// ELL slab, slot (r, j) at j*nrows + r, under the identity permutation. The
+/// protected stack runs ELL exactly that way (abft::EllFormat), so C has no
+/// upper bound: the kernels walk any slice in 64-row segments and size no
+/// buffer by C.
+///
 /// The index width is a template parameter, mirroring sparse::Csr/Ell:
 /// `SellMatrix` is the paper's 32-bit setting, `Sell64Matrix` the §V-B
 /// wide-index scenario.
@@ -59,18 +66,15 @@ class Sell {
  public:
   using index_type = Index;
 
-  /// Default slice height C. 16 rows keep every slice slab L1-resident with
-  /// a short row stride (the kernels accumulate rows CSR-style at stride C)
-  /// while bounding padding waste; any C works, this is the measured sweet
-  /// spot for the protected SpMV path on current CPUs.
+  /// Default slice height C. 16 rows keep every slice slab L1-resident while
+  /// bounding padding waste; any C works, this is the measured sweet spot
+  /// for the protected SpMV path on current CPUs.
   static constexpr std::size_t kDefaultSliceHeight = 16;
   /// Default sorting window sigma. Independent of the slice height; the
   /// protected container requires the permutation to stay within aligned
   /// 64-row blocks (see ProtectedSell), which any window that divides 64
   /// satisfies — 64 is the largest such window.
   static constexpr std::size_t kDefaultSortWindow = 64;
-  /// Hard cap on C so kernels can use fixed-size slice buffers.
-  static constexpr std::size_t kMaxSliceHeight = 256;
 
   Sell() = default;
 
@@ -111,9 +115,10 @@ class Sell {
 
     // Sort each window's rows by descending length (stable: equal-length
     // rows keep their original order, so the permutation is deterministic).
+    // A window of one row sorts nothing: the permutation is the identity.
     std::vector<Index> perm(nrows);
     std::iota(perm.begin(), perm.end(), Index{0});
-    for (std::size_t w0 = 0; w0 < nrows; w0 += window) {
+    for (std::size_t w0 = 0; window > 1 && w0 < nrows; w0 += window) {
       const std::size_t w1 = std::min(w0 + window, nrows);
       std::stable_sort(perm.begin() + static_cast<std::ptrdiff_t>(w0),
                        perm.begin() + static_cast<std::ptrdiff_t>(w1),
@@ -249,10 +254,8 @@ class Sell {
   /// data. Padding slots must carry in-range columns too — the protection
   /// layer encodes and range-guards every slot.
   void validate() const {
+    if (slice_ == 0) throw std::invalid_argument("SELL: slice height is zero");
     const std::size_t nslices_want = (nrows_ + slice_ - 1) / slice_;
-    if (slice_ == 0 || slice_ > kMaxSliceHeight) {
-      throw std::invalid_argument("SELL: slice height out of range");
-    }
     if (slice_width_.size() != nslices_want || slice_ptr_.size() != nslices_want + 1) {
       throw std::invalid_argument("SELL: slice arrays sized inconsistently");
     }
@@ -271,19 +274,26 @@ class Sell {
     if (values_.size() != slots() || cols_.size() != slots()) {
       throw std::invalid_argument("SELL: slab size != total slots");
     }
-    std::vector<bool> seen(nrows_, false);
+    // A sort window of one row sorts nothing: its permutation must be the
+    // identity, which the protected container then does not store.
+    std::vector<bool> seen(window_ > 1 ? nrows_ : 0, false);
     for (std::size_t i = 0; i < nrows_; ++i) {
-      if (perm_[i] >= nrows_ || seen[perm_[i]]) {
-        throw std::invalid_argument("SELL: perm is not a permutation at stored row " +
-                                    std::to_string(i));
+      const bool bad =
+          window_ > 1 ? perm_[i] >= nrows_ || seen[perm_[i]] : perm_[i] != i;
+      if (bad) {
+        throw std::invalid_argument(
+            "SELL: perm is not a permutation (the identity under sort window 1) at "
+            "stored row " + std::to_string(i));
       }
-      seen[perm_[i]] = true;
+      if (window_ > 1) seen[perm_[i]] = true;
     }
-    for (std::size_t i = 0; i < nrows_; ++i) {
-      const std::size_t s = i / slice_;
-      if (row_nnz_[i] > slice_width_[s]) {
-        throw std::invalid_argument("SELL: row_nnz > slice width at stored row " +
-                                    std::to_string(i));
+    for (std::size_t s = 0; s < nslices_want; ++s) {
+      const std::size_t rend = std::min((s + 1) * slice_, nrows_);
+      for (std::size_t i = s * slice_; i < rend; ++i) {
+        if (row_nnz_[i] > slice_width_[s]) {
+          throw std::invalid_argument("SELL: row_nnz > slice width at stored row " +
+                                      std::to_string(i));
+        }
       }
     }
     for (std::size_t s = 0; s < nslices_want; ++s) {
@@ -309,10 +319,7 @@ class Sell {
 
  private:
   [[nodiscard]] static std::size_t clamp_slice(std::size_t slice_height) {
-    if (slice_height == 0 || slice_height > kMaxSliceHeight) {
-      throw std::invalid_argument("SELL: slice height must be in [1, " +
-                                  std::to_string(kMaxSliceHeight) + "]");
-    }
+    if (slice_height == 0) throw std::invalid_argument("SELL: slice height must be >= 1");
     return slice_height;
   }
 

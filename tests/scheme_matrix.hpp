@@ -28,7 +28,7 @@
 #include "abft/element_schemes.hpp"
 #include "abft/protected_kernels.hpp"
 #include "abft/protected_vector.hpp"
-#include "abft/row_schemes.hpp"
+#include "abft/structure_schemes.hpp"
 #include "abft/vector_schemes.hpp"
 #include "common/bits.hpp"
 #include "common/fault_log.hpp"
@@ -37,7 +37,6 @@
 #include "ecc/scheme.hpp"
 #include "faults/injector.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/ell.hpp"
 #include "sparse/sell.hpp"
 
 namespace abft::scheme_matrix {
@@ -450,20 +449,13 @@ void row_double_flips() {
 
 // ---------------------------------------------------------------------------
 // Protected containers (format x scheme): the encode/verify/flip contract at
-// the container level, generic over ProtectedCsr / ProtectedEll.
+// the container level, generic over ProtectedCsr / ProtectedSell (which holds
+// ELL too).
 // ---------------------------------------------------------------------------
 
 template <class Index>
 void expect_matrices_equal(const sparse::Csr<Index>& got, const sparse::Csr<Index>& want) {
   EXPECT_EQ(got.row_ptr(), want.row_ptr());
-  EXPECT_EQ(got.cols(), want.cols());
-  EXPECT_EQ(got.values(), want.values());
-}
-
-template <class Index>
-void expect_matrices_equal(const sparse::Ell<Index>& got, const sparse::Ell<Index>& want) {
-  EXPECT_EQ(got.width(), want.width());
-  EXPECT_EQ(got.row_nnz(), want.row_nnz());
   EXPECT_EQ(got.cols(), want.cols());
   EXPECT_EQ(got.values(), want.values());
 }
@@ -479,8 +471,7 @@ void expect_matrices_equal(const sparse::Sell<Index>& got,
   EXPECT_EQ(got.values(), want.values());
 }
 
-/// y = A x through the free spmv kernel over unprotected (VecNone) vectors —
-/// the raw x-gather path, so the ELL slab cursor's SIMD gather is exercised.
+/// y = A x through the free spmv kernel over unprotected (VecNone) vectors.
 template <class PM>
 void spmv_unprotected(PM& a, const std::vector<double>& x, std::vector<double>& y,
                       CheckMode mode) {

@@ -190,9 +190,9 @@ TEST(FaultTotals, ObservedDegradesGracefullyToFaultLogCounts) {
   // graceful-degradation contract the advisor relies on. Declared before
   // any add_checks() in this suite so the obs-on path stays comparable.
   FaultLog log;
-  for (int i = 0; i < 4; ++i) log.record(Region::ell_values, CheckOutcome::corrected, i);
+  for (int i = 0; i < 4; ++i) log.record(Region::sell_values, CheckOutcome::corrected, i);
   for (int i = 0; i < 2; ++i)
-    log.record(Region::ell_cols, CheckOutcome::uncorrectable, i);
+    log.record(Region::sell_cols, CheckOutcome::uncorrectable, i);
   const auto o = observed_fault_totals(&log);
   EXPECT_GE(o.corrected, 4u);
   EXPECT_GE(o.uncorrectable, 2u);

@@ -223,19 +223,19 @@ TEST(Exceptions, MessagesNameRegionAndIndex) {
   EXPECT_NE(std::string(e.what()).find("42"), std::string::npos);
   const BoundsViolation b(Region::dense_vector, 7);
   EXPECT_NE(std::string(b.what()).find("dense_vector"), std::string::npos);
-  const UncorrectableError w(Region::ell_row_width, 3);
-  EXPECT_NE(std::string(w.what()).find("ell_row_width"), std::string::npos);
+  const UncorrectableError w(Region::sell_structure, 3);
+  EXPECT_NE(std::string(w.what()).find("sell_structure"), std::string::npos);
 }
 
 TEST(RegionNames, CoverEveryRegion) {
   for (auto r : {Region::csr_values, Region::csr_cols, Region::csr_row_ptr,
-                 Region::ell_values, Region::ell_cols, Region::ell_row_width,
+                 Region::sell_values, Region::sell_cols, Region::sell_structure,
                  Region::dense_vector, Region::other}) {
     EXPECT_STRNE(to_string(r), "?");
   }
-  EXPECT_STREQ(to_string(Region::ell_values), "ell_values");
-  EXPECT_STREQ(to_string(Region::ell_cols), "ell_cols");
-  EXPECT_STREQ(to_string(Region::ell_row_width), "ell_row_width");
+  EXPECT_STREQ(to_string(Region::sell_values), "sell_values");
+  EXPECT_STREQ(to_string(Region::sell_cols), "sell_cols");
+  EXPECT_STREQ(to_string(Region::sell_structure), "sell_structure");
 }
 
 }  // namespace

@@ -11,12 +11,11 @@
 #include "abft/protected_csr.hpp"
 #include "abft/protected_kernels.hpp"
 #include "abft/protected_vector.hpp"
-#include "abft/schemes64.hpp"
 #include "common/rng.hpp"
 #include "faults/injector.hpp"
 #include "scheme_matrix.hpp"
 #include "solvers/cg.hpp"
-#include "sparse/csr64.hpp"
+#include "sparse/csr.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/transform.hpp"
 

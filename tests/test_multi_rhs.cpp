@@ -161,8 +161,8 @@ TEST(MultiRhsSpmm, CsrCrc32cRowGranularMatchesSequential) {
 }
 
 TEST(MultiRhsSpmm, EllSedMatchesSequentialWithUncorrectableFault) {
-  const auto a = sparse::Ell<std::uint32_t>::from_csr(sparse::laplacian_2d(16, 13));
-  using PM = ProtectedEll<std::uint32_t, schemes::ElemSed<std::uint32_t>,
+  const auto a = EllFormat::make_plain<std::uint32_t, ElemNone>(sparse::laplacian_2d(16, 13));
+  using PM = EllFormat::protected_matrix<std::uint32_t, schemes::ElemSed<std::uint32_t>,
                           schemes::StructSed<std::uint32_t>>;
   expect_spmm_matches_sequential<PM, VecSed>(a, 4, [](auto& p) {
     flip_value_bit(p, 64 * 33 + 50);  // SED detects, cannot correct
@@ -170,9 +170,8 @@ TEST(MultiRhsSpmm, EllSedMatchesSequentialWithUncorrectableFault) {
 }
 
 TEST(MultiRhsSpmm, EllTileMatchesSequential) {
-  const auto a = sparse::Ell<std::uint32_t>::from_csr(sparse::laplacian_2d(12, 8),
-                                                      ElemCrc32cTile::kMinRowNnz);
-  using PM = ProtectedEll<std::uint32_t, schemes::ElemCrc32cTile<std::uint32_t>,
+  const auto a = EllFormat::make_plain<std::uint32_t, ElemCrc32cTile>(sparse::laplacian_2d(12, 8));
+  using PM = EllFormat::protected_matrix<std::uint32_t, schemes::ElemCrc32cTile<std::uint32_t>,
                           schemes::StructCrc32c<std::uint32_t>>;
   expect_spmm_matches_sequential<PM, VecNone>(a, 3, [](auto& p) {
     flip_value_bit(p, 64 * 70 + 13);

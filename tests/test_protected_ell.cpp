@@ -1,12 +1,17 @@
-// ProtectedEll — the ELLPACK protected container through the format-generic
-// stack: typed encode/decode/flip suites at both index widths (shared
-// harness, tests/scheme_matrix.hpp), bit-identical SpMV equivalence against
-// the CSR path (unprotected and protected vectors, every dispatchable scheme
-// combination), and CG-on-ELL with injected faults, including the generic
-// checkpoint-restart wrapper.
+// Protected ELL — ELLPACK held as single-slice SELL (EllFormat: C = nrows,
+// sigma = 1, ProtectedSell underneath) through the format-generic stack:
+// typed encode/decode/flip suites at both index widths (shared harness,
+// tests/scheme_matrix.hpp), the layout proofs (slabs and codewords equal
+// sparse::Ell's slot for slot, no stored permutation), bit-identical
+// SpMV/SpMM equivalence against the CSR path (unprotected and protected
+// vectors, every dispatchable scheme combination), and CG-on-ELL with
+// injected faults, including the generic checkpoint-restart wrapper.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "abft/abft.hpp"
@@ -33,7 +38,7 @@ struct ComboEll {
   using Index = I;
   using ES = E;
   using SS = S;
-  using PM = ProtectedEll<I, E, S>;
+  using PM = EllFormat::protected_matrix<I, E, S>;
 };
 
 using CombosEll = ::testing::Types<
@@ -70,14 +75,8 @@ using CombosEll = ::testing::Types<
 TYPED_TEST_SUITE(ProtectedEllTest, CombosEll);
 
 template <class Index, class ES>
-sparse::Ell<Index> ell_matrix(std::size_t nx = 11, std::size_t ny = 9) {
-  const auto a32 = sparse::laplacian_2d(nx, ny);
-  if constexpr (std::is_same_v<Index, std::uint32_t>) {
-    return sparse::Ell<Index>::from_csr(a32, ES::kMinRowNnz);
-  } else {
-    return sparse::Ell<Index>::from_csr(sparse::Csr<Index>::from_csr(a32),
-                                        ES::kMinRowNnz);
-  }
+sparse::Sell<Index> ell_matrix(std::size_t nx = 11, std::size_t ny = 9) {
+  return EllFormat::make_plain<Index, ES>(sparse::laplacian_2d(nx, ny));
 }
 
 TYPED_TEST(ProtectedEllTest, RoundTripPreservesMatrix) {
@@ -135,7 +134,8 @@ TEST(ProtectedEllFaults, BoundsGuardCatchesCorruptColumnInSkipMode) {
   using ES = schemes::ElemSed<std::uint32_t>;
   const auto a = ell_matrix<std::uint32_t, ES>();
   FaultLog log;
-  auto p = ProtectedEll<std::uint32_t, ES, schemes::StructSed<std::uint32_t>>::from_ell(
+  auto p = EllFormat::protected_matrix<std::uint32_t, ES,
+                                      schemes::StructSed<std::uint32_t>>::from_plain(
       a, &log, DuePolicy::record_only);
   p.raw_cols()[7] = ES::kColMask;  // masked value still >= ncols
   std::vector<double> x(a.ncols(), 1.0), y(a.nrows());
@@ -149,8 +149,9 @@ TEST(ProtectedEllFaults, BoundsGuardCatchesCorruptRowWidthInSkipMode) {
   using SS = schemes::StructNone<std::uint32_t>;
   const auto a = ell_matrix<std::uint32_t, ES>();
   FaultLog log;
-  auto p = ProtectedEll<std::uint32_t, ES, SS>::from_ell(a, &log, DuePolicy::record_only);
-  p.raw_row_nnz()[3] = 1000;  // way beyond the slab width
+  auto p = EllFormat::protected_matrix<std::uint32_t, ES, SS>::from_plain(
+      a, &log, DuePolicy::record_only);
+  p.row_len_storage()[3] = 1000;  // way beyond the slab width
   std::vector<double> x(a.ncols(), 1.0), y(a.nrows());
   scheme_matrix::spmv_unprotected(p, x, y, CheckMode::bounds_only);
   EXPECT_GE(log.bounds_violations(), 1u);
@@ -165,30 +166,32 @@ TEST(ProtectedEllFaults, CorruptRowWidthIsBoundsGuardedInRowAccessors) {
   using SS = schemes::StructNone<std::uint32_t>;
   const auto a = ell_matrix<std::uint32_t, ES>();
   FaultLog log;
-  auto p = ProtectedEll<std::uint32_t, ES, SS>::from_ell(a, &log, DuePolicy::record_only);
-  p.raw_row_nnz()[3] = 1000;  // way beyond the slab width
+  auto p = EllFormat::protected_matrix<std::uint32_t, ES, SS>::from_plain(
+      a, &log, DuePolicy::record_only);
+  p.row_len_storage()[3] = 1000;  // way beyond the slab width
   EXPECT_EQ(p.row_nnz_at(3), 0u);
   EXPECT_GE(log.bounds_violations(), 1u);
   EXPECT_THROW((void)p.element_in_row(3, 999), BoundsViolation);
-  // to_ell must emit a structurally valid matrix despite the corruption.
-  EXPECT_NO_THROW(p.to_ell().validate());
+  // to_plain must emit a structurally valid matrix despite the corruption.
+  EXPECT_NO_THROW(p.to_plain().validate());
 }
 
 TEST(ProtectedEllFaults, WidthLimitEnforcedForPerRowCrc) {
   // A slab narrower than the 4 checksum slots must be rejected with a hint.
-  sparse::EllMatrix narrow(4, 4, 2);
+  const std::uint32_t width[1] = {2};
+  sparse::SellMatrix narrow(4, 4, 4, {width, 1}, 1);  // one slice, sigma = 1
   for (std::size_t r = 0; r < 4; ++r) {
     narrow.row_nnz()[r] = 1;
     narrow.values()[r] = 1.0;
     narrow.cols()[r] = static_cast<std::uint32_t>(r);
     narrow.cols()[4 + r] = static_cast<std::uint32_t>(r);
   }
-  using PM = ProtectedEll<std::uint32_t, schemes::ElemCrc32c<std::uint32_t>,
-                          schemes::StructNone<std::uint32_t>>;
-  EXPECT_THROW((void)PM::from_ell(narrow), std::invalid_argument);
+  using PM = EllFormat::protected_matrix<std::uint32_t, schemes::ElemCrc32c<std::uint32_t>,
+                                         schemes::StructNone<std::uint32_t>>;
+  EXPECT_THROW((void)PM::from_plain(narrow), std::invalid_argument);
   // from_csr with min_width is the documented remedy.
-  const auto fixed = sparse::EllMatrix::from_csr(narrow.to_csr(), 4);
-  EXPECT_NO_THROW((void)PM::from_ell(fixed));
+  const auto fixed = sparse::SellMatrix::from_csr(narrow.to_csr(), 4, 4, 1);
+  EXPECT_NO_THROW((void)PM::from_plain(fixed));
 }
 
 // ---------------------------------------------------------------------------
@@ -246,13 +249,194 @@ TEST(ProtectedEllDispatch, SpmvMatchesCsrAcrossFullSchemeMatrix) {
 }
 
 // ---------------------------------------------------------------------------
+// ELL is single-slice SELL: the layout proofs. sparse::Ell is the plain
+// reference: EllFormat's slabs must be its slabs slot for slot, and every
+// element codeword must sit where encoding sparse::Ell's slab in place puts
+// it — so tiles, tile checksums and the HD figures are ELL's own.
+// ---------------------------------------------------------------------------
+
+/// The operators the layout is proved on: the TeaLeaf diffusion stencil
+/// (5-point, near-constant rows, 143 rows so the slab has a ragged last
+/// chunk) and a ragged random SPD matrix.
+std::vector<sparse::CsrMatrix> layout_operators() {
+  constexpr std::size_t kNx = 13, kNy = 11;
+  Xoshiro256 rng(5);
+  std::vector<double> kx(kNx * kNy), ky(kNx * kNy);
+  for (auto& k : kx) k = rng.uniform(0.1, 10.0);
+  for (auto& k : ky) k = rng.uniform(0.1, 10.0);
+  return {sparse::diffusion_2d(kNx, kNy, kx.data(), ky.data(), 0.4),
+          sparse::random_spd(150, 6, 9)};
+}
+
+template <class Index>
+sparse::Csr<Index> at_width(const sparse::CsrMatrix& a) {
+  if constexpr (std::is_same_v<Index, std::uint32_t>) {
+    return a;
+  } else {
+    return sparse::Csr<Index>::from_csr(a);
+  }
+}
+
+/// Run `f.template operator()<Index, ES>(a)` for every operator, both index
+/// widths and every element scheme with a codeword at that width.
+template <class F>
+void for_each_layout_case(F&& f) {
+  for (const auto& a32 : layout_operators()) {
+    for (const auto width : kAllIndexWidths) {
+      for (const auto es : ecc::kAllSchemes) {
+        if (width == IndexWidth::i32 && es == ecc::Scheme::secded128) continue;
+        SCOPED_TRACE(std::string(to_string(width)) + "-bit/" +
+                     std::string(ecc::to_string(es)) + "/rows=" +
+                     std::to_string(a32.nrows()));
+        dispatch_uniform_protection(width, es, [&]<class Index, class ES, class, class>() {
+          f.template operator()<Index, ES>(at_width<Index>(a32));
+        });
+      }
+    }
+  }
+}
+
+TEST(EllLayout, OperatorsAreStencilAndRagged) {
+  const auto ops = layout_operators();
+  const auto widths = [](const sparse::CsrMatrix& a) {
+    std::size_t lo = a.ncols(), hi = 0;
+    for (std::size_t r = 0; r < a.nrows(); ++r) {
+      lo = std::min(lo, a.row_nnz(r));
+      hi = std::max(hi, a.row_nnz(r));
+    }
+    return std::pair{lo, hi};
+  };
+  EXPECT_EQ(widths(ops[0]), (std::pair<std::size_t, std::size_t>{3, 5}));
+  EXPECT_GE(widths(ops[1]).second, widths(ops[1]).first + 3);
+}
+
+TEST(EllLayout, MakePlainSlabsEqualSparseEllSlotForSlot) {
+  for_each_layout_case([]<class Index, class ES>(const sparse::Csr<Index>& a) {
+    const auto e = sparse::Ell<Index>::from_csr(a, ES::kMinRowNnz);
+    const auto s = EllFormat::make_plain<Index, ES>(a);
+    ASSERT_EQ(s.nslices(), 1u);
+    EXPECT_EQ(s.slice_height(), a.nrows());
+    EXPECT_EQ(s.sort_window(), 1u);
+    EXPECT_EQ(s.slice_width(0), e.width());
+    for (std::size_t i = 0; i < a.nrows(); ++i) ASSERT_EQ(s.perm()[i], i);
+    EXPECT_EQ(s.row_nnz(), e.row_nnz());
+    EXPECT_EQ(s.cols(), e.cols());
+    EXPECT_EQ(s.values(), e.values());
+  });
+}
+
+TEST(EllLayout, CodewordsLandOnTheEllSlabsSlots) {
+  for_each_layout_case([]<class Index, class ES>(const sparse::Csr<Index>& a) {
+    using PM = EllFormat::protected_matrix<Index, ES, schemes::StructNone<Index>>;
+    for (const std::size_t tile_slots : {std::size_t{0}, std::size_t{16}}) {
+      if (tile_slots != 0 && !ES::kTileGranular) continue;
+      // The reference: sparse::Ell's slab with every codeword encoded in
+      // place — per element, per row at stride nrows, or per tile of the
+      // physical slab.
+      auto e = sparse::Ell<Index>::from_csr(a, ES::kMinRowNnz);
+      double* vals = e.values().data();
+      Index* cols = e.cols().data();
+      if constexpr (ES::kTileGranular) {
+        const TileGeometry geom = tile_slots != 0 ? TileGeometry(tile_slots) : TileGeometry{};
+        for (std::size_t t = 0; t < geom.num_tiles(e.slots()); ++t) {
+          ES::encode_tile(vals + geom.tile_begin(t), cols + geom.tile_begin(t),
+                          geom.tile_slots(t, e.slots()));
+        }
+      } else if constexpr (ES::kRowGranular) {
+        for (std::size_t r = 0; r < e.nrows(); ++r) {
+          ES::encode_row(vals + r, cols + r, e.width(), e.nrows());
+        }
+      } else if constexpr (ES::kScheme != ecc::Scheme::none) {
+        for (std::size_t k = 0; k < e.slots(); ++k) ES::encode(vals[k], cols[k]);
+      }
+      auto p = PM::from_plain(EllFormat::make_plain<Index, ES>(a), nullptr,
+                              DuePolicy::throw_exception, tile_slots);
+      ASSERT_EQ(p.raw_values().size(), e.slots());
+      for (std::size_t k = 0; k < e.slots(); ++k) {
+        ASSERT_EQ(double_to_bits(p.raw_values()[k]), double_to_bits(vals[k])) << "slot " << k;
+        ASSERT_EQ(p.raw_cols()[k], cols[k]) << "slot " << k;
+      }
+    }
+  });
+}
+
+TEST(EllLayout, SortWindowOneStoresNoPermutation) {
+  const auto a = sparse::laplacian_2d(11, 9);  // 99 rows
+  for (const auto width : kAllIndexWidths) {
+    for (const auto ss : ecc::kAllSchemes) {
+      dispatch_uniform_protection(width, ss, [&]<class Index, class, class SS, class>() {
+        const auto padded = [](std::size_t n) {
+          return (n + SS::kGroup - 1) / SS::kGroup * SS::kGroup;
+        };
+        using ES = schemes::ElemNone<Index>;
+        const auto plain = at_width<Index>(a);
+        auto ell = EllFormat::protected_matrix<Index, ES, SS>::from_plain(
+            EllFormat::make_plain<Index, ES>(plain));
+        EXPECT_FALSE(ell.permuted());
+        // [one slice width | row lengths], each section group-padded.
+        EXPECT_EQ(ell.raw_structure().size(), padded(1) + padded(a.nrows()));
+        auto sell = SellFormat::protected_matrix<Index, ES, SS>::from_plain(
+            SellFormat::make_plain<Index, ES>(plain));
+        EXPECT_TRUE(sell.permuted());
+        EXPECT_EQ(sell.raw_structure().size(),
+                  padded(sell.nslices()) + 2 * padded(a.nrows()));
+      });
+    }
+  }
+}
+
+TEST(EllLayout, SpmvAndSpmmBitsEqualCsrForEveryDispatchableScheme) {
+  constexpr std::size_t kRhs = 3;
+  // y storage bits of one SpMV and of a kRhs-column SpMM (each column its
+  // own x), through the uniform dispatcher the CLIs use.
+  const auto run = [](MatrixFormat fmt, IndexWidth width, ecc::Scheme s,
+                      const sparse::CsrMatrix& a32) {
+    return dispatch_uniform_protection(
+        fmt, width, s, [&]<class Fmt, class Index, class ES, class SS, class VS>() {
+          using PM = typename Fmt::template protected_matrix<Index, ES, SS>;
+          auto pa = PM::from_plain(Fmt::template make_plain<Index, ES>(a32));
+          const std::size_t m = pa.nrows(), n = pa.ncols();
+          Xoshiro256 rng(12);
+          ProtectedMultiVector<VS> xm(n), ym(m);
+          std::vector<double> xv(n);
+          for (std::size_t j = 0; j < kRhs; ++j) {
+            for (auto& v : xv) v = rng.uniform(-2, 2);
+            xm.add_column().assign(xv);
+            ym.add_column();
+          }
+          ProtectedVector<VS> y(m);
+          spmv(pa, xm.column(0), y);
+          std::vector<std::uint64_t> bits;
+          for (const double v : y.raw()) bits.push_back(double_to_bits(v));
+          spmm(pa, xm, ym);
+          for (std::size_t j = 0; j < kRhs; ++j) {
+            for (const double v : ym.column(j).raw()) bits.push_back(double_to_bits(v));
+          }
+          return bits;
+        });
+  };
+  for (const auto& a : layout_operators()) {
+    for (const auto width : kAllIndexWidths) {
+      for (const auto s : ecc::kAllSchemes) {
+        // crc32c-tile has no CSR layout; the per-row CRC is the CSR
+        // reference (same structure and vector schemes, same decoded
+        // operator — only the element codeword layout differs).
+        const auto s_csr = s == ecc::Scheme::crc32c_tile ? ecc::Scheme::crc32c : s;
+        EXPECT_EQ(run(MatrixFormat::ell, width, s, a), run(MatrixFormat::csr, width, s_csr, a))
+            << to_string(width) << "-bit " << ecc::to_string(s) << " rows=" << a.nrows();
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Solvers over the ELL stack.
 // ---------------------------------------------------------------------------
 
 template <class ES, class SS, class VS>
-std::pair<sparse::EllMatrix, aligned_vector<double>> ones_problem_ell(std::size_t nx,
-                                                                      std::size_t ny) {
-  auto a = sparse::EllMatrix::from_csr(sparse::laplacian_2d(nx, ny), ES::kMinRowNnz);
+std::pair<sparse::SellMatrix, aligned_vector<double>> ones_problem_ell(std::size_t nx,
+                                                                       std::size_t ny) {
+  auto a = EllFormat::make_plain<std::uint32_t, ES>(sparse::laplacian_2d(nx, ny));
   aligned_vector<double> ones(a.nrows(), 1.0), rhs(a.nrows(), 0.0);
   sparse::spmv(a, ones.data(), rhs.data());
   return {std::move(a), std::move(rhs)};
@@ -265,7 +449,8 @@ TEST(ProtectedEllSolve, CgConvergesAndRepairsInjectedFlips) {
   const std::size_t n = a.nrows();
 
   FaultLog log;
-  auto pa = ProtectedEll<std::uint32_t, ES, SS>::from_ell(a, &log, DuePolicy::record_only);
+  auto pa = EllFormat::protected_matrix<std::uint32_t, ES, SS>::from_plain(
+      a, &log, DuePolicy::record_only);
   ProtectedVector<VecSecded64> b(n, &log, DuePolicy::record_only);
   ProtectedVector<VecSecded64> u(n, &log, DuePolicy::record_only);
   b.assign({rhs.data(), n});
@@ -274,7 +459,7 @@ TEST(ProtectedEllSolve, CgConvergesAndRepairsInjectedFlips) {
   auto vals = pa.raw_values();
   injector.inject_single(
       {reinterpret_cast<std::uint8_t*>(vals.data()), vals.size_bytes()});
-  auto widths = pa.raw_row_nnz();
+  auto widths = pa.raw_structure();
   injector.inject_single(
       {reinterpret_cast<std::uint8_t*>(widths.data()), widths.size_bytes()});
 
@@ -295,7 +480,7 @@ TEST(ProtectedEllSolve, PcgAndJacobiRunOnEll) {
   using SS = schemes::StructSed<std::uint32_t>;
   const auto [a, rhs] = ones_problem_ell<ES, SS, VecSed>(12, 12);
   const std::size_t n = a.nrows();
-  auto pa = ProtectedEll<std::uint32_t, ES, SS>::from_ell(a);
+  auto pa = EllFormat::protected_matrix<std::uint32_t, ES, SS>::from_plain(a);
   ProtectedVector<VecSed> b(n), u(n);
   b.assign({rhs.data(), n});
 
@@ -316,11 +501,11 @@ TEST(ProtectedEllSolve, GenericRestartRecoversFromDueOnEll) {
   // exercises a non-CG solver (chebyshev).
   using ES = schemes::ElemSed<std::uint32_t>;
   using SS = schemes::StructSed<std::uint32_t>;
-  using Matrix = ProtectedEll<std::uint32_t, ES, SS>;
+  using Matrix = EllFormat::protected_matrix<std::uint32_t, ES, SS>;
   const auto [a, rhs] = ones_problem_ell<ES, SS, VecSed>(16, 16);
   const std::size_t n = a.nrows();
   FaultLog log;
-  auto pa = Matrix::from_ell(a, &log);
+  auto pa = Matrix::from_plain(a, &log);
   ProtectedVector<VecSed> b(n, &log), u(n, &log);
   b.assign({rhs.data(), n});
 

@@ -432,11 +432,12 @@ TEST(KernelFaults, CorruptRowPtrInBoundsOnlyModeIsCaught) {
 // pass, ahead of the row loop, and the loop then reads masked storage.
 // ---------------------------------------------------------------------------
 
-using XCsr = ProtectedCsr<std::uint32_t, ElemSecded, RowSecded64>;
-using XEll = ProtectedEll<std::uint32_t, schemes::ElemSecded<std::uint32_t>,
-                          schemes::StructSecded<std::uint32_t>>;
-using XSell = ProtectedSell<std::uint32_t, schemes::ElemSecded<std::uint32_t>,
-                            schemes::StructSecded<std::uint32_t>>;
+using XCsr = CsrFormat;
+using XEll = EllFormat;
+using XSell = SellFormat;
+template <class Fmt>
+using XMatrix = typename Fmt::template protected_matrix<
+    std::uint32_t, schemes::ElemSecded<std::uint32_t>, schemes::StructSecded<std::uint32_t>>;
 
 /// The 12x8 Laplacian (96 rows) widened by 16 columns no row reads: the
 /// trailing x groups exist but are never gathered.
@@ -449,15 +450,9 @@ sparse::CsrMatrix laplacian_with_unread_columns() {
   return wide;
 }
 
-template <class PM>
+template <class Fmt>
 auto plain_as(const sparse::CsrMatrix& a) {
-  if constexpr (std::is_same_v<PM, XCsr>) {
-    return a;
-  } else if constexpr (std::is_same_v<PM, XEll>) {
-    return sparse::Ell<std::uint32_t>::from_csr(a);
-  } else {
-    return sparse::Sell<std::uint32_t>::from_csr(a);
-  }
+  return Fmt::template make_plain<std::uint32_t, schemes::ElemSecded<std::uint32_t>>(a);
 }
 
 template <class VS>
@@ -478,11 +473,11 @@ std::vector<std::uint64_t> storage_bits(const ProtectedVector<VS>& v) {
 /// A single-bit fault in an x group no row reads: the pre-pass still finds
 /// it, repairs the storage to its encoded bits and logs exactly one
 /// correction at that group — in spmv, and in the faulty column of an spmm.
-template <class PM, class VS>
+template <class Fmt, class VS>
 void expect_unread_group_fault_corrected_once() {
   const auto wide = laplacian_with_unread_columns();
-  const auto plain = plain_as<PM>(wide);
-  auto p = PM::from_plain(plain);
+  const auto plain = plain_as<Fmt>(wide);
+  auto p = XMatrix<Fmt>::from_plain(plain);
   const std::size_t unread = wide.nrows() + 5;  // element inside the unread tail
   const std::size_t group = unread / VS::kGroup;
   const auto xraw = masked_inputs<VS>(wide.ncols(), 41);
@@ -545,10 +540,10 @@ TEST(XVerifyOnce, FaultInAnUnreadGroupIsCorrectedAndLoggedOnce) {
 /// for correcting schemes, still do after a single-bit fault in a group
 /// the rows read. Masked reads after the pre-pass are bit-for-bit the
 /// values the decode would have produced.
-template <class PM, class VS>
+template <class Fmt, class VS>
 void expect_masked_reads_match_unprotected_x() {
   const auto a = laplacian_with_unread_columns();
-  auto p = PM::from_plain(plain_as<PM>(a));
+  auto p = XMatrix<Fmt>::from_plain(plain_as<Fmt>(a));
   const auto xraw = masked_inputs<VS>(a.ncols(), 43);
   for (const CheckMode mode : {CheckMode::full, CheckMode::bounds_only}) {
     ProtectedVector<VecNone> xn(a.ncols()), yn(a.nrows());

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -248,16 +249,36 @@ TEST(Sell, ValidateRejectsMalformedStructure) {
   auto s4 = sparse::SellMatrix::from_csr(a);
   s4.cols().pop_back();  // slab size mismatch
   EXPECT_THROW(s4.validate(), std::invalid_argument);
+
+  auto s5 = sparse::SellMatrix::from_csr(a, 0, 16, 1);
+  std::swap(s5.perm()[0], s5.perm()[1]);  // a permutation, but sort window 1
+  EXPECT_THROW(s5.validate(), std::invalid_argument);
 }
 
 TEST(Sell, ConstructorRejectsBadShapes) {
   EXPECT_THROW(sparse::SellMatrix::from_csr(sparse::laplacian_2d(4, 4), 0, 0),
                std::invalid_argument);  // zero slice height
-  EXPECT_THROW(sparse::SellMatrix::from_csr(sparse::laplacian_2d(4, 4), 0, 1000),
-               std::invalid_argument);  // above kMaxSliceHeight
   const std::uint32_t widths[1] = {5};
   EXPECT_THROW(sparse::SellMatrix(100, 100, 32, {widths, 1}),
                std::invalid_argument);  // widths size != nslices
+}
+
+TEST(Sell, OneSliceOfAllRowsRoundTrips) {
+  // C = nrows, sigma = 1 is ELLPACK: one slice far taller than any default
+  // slice, the identity permutation and ELL's slab, slot for slot.
+  const auto a = sparse::laplacian_2d(30, 30);  // 900 rows
+  const auto s = sparse::SellMatrix::from_csr(a, 0, a.nrows(), 1);
+  EXPECT_NO_THROW(s.validate());
+  ASSERT_EQ(s.nslices(), 1u);
+  EXPECT_EQ(s.slice_height(), a.nrows());
+  for (std::size_t i = 0; i < a.nrows(); ++i) ASSERT_EQ(s.perm()[i], i);
+  const auto e = sparse::EllMatrix::from_csr(a);
+  EXPECT_EQ(s.values(), e.values());
+  EXPECT_EQ(s.cols(), e.cols());
+  const auto back = s.to_csr();
+  EXPECT_EQ(back.row_ptr(), a.row_ptr());
+  EXPECT_EQ(back.cols(), a.cols());
+  EXPECT_EQ(back.values(), a.values());
 }
 
 TEST(Sell, AtLooksUpEntries) {

@@ -126,7 +126,7 @@ TEST(ThreadStress, ErrorCaptureConcurrentMergeMatchesSerialFold) {
       // this wrong whenever thread 0 merges first.
       local.record(Region::csr_values, CheckOutcome::uncorrectable,
                    1000 - 100 * static_cast<std::size_t>(t));
-      local.record(Region::ell_values, CheckOutcome::corrected,
+      local.record(Region::sell_values, CheckOutcome::corrected,
                    500 + static_cast<std::size_t>(t));
       shared.merge_from(local);
     });
@@ -144,7 +144,7 @@ TEST(ThreadStress, ErrorCaptureConcurrentMergeMatchesSerialFold) {
         EXPECT_EQ(e.index, 1000 - 100 * (kStressThreads - 1));
         saw_min_unc = true;
       }
-      if (e.region == Region::ell_values) {
+      if (e.region == Region::sell_values) {
         EXPECT_EQ(e.index, 500u);
         saw_min_corr = true;
       }
@@ -313,8 +313,8 @@ TEST(ThreadDeterminism, CsrCrc32cRowGranular) {
 }
 
 TEST(ThreadDeterminism, EllSecdedBatchPathCleanAndFaulty) {
-  const auto a = sparse::Ell<std::uint32_t>::from_csr(sparse::laplacian_2d(16, 13));
-  using PM = ProtectedEll<std::uint32_t, schemes::ElemSecded<std::uint32_t>,
+  const auto a = EllFormat::make_plain<std::uint32_t, ElemNone>(sparse::laplacian_2d(16, 13));
+  using PM = EllFormat::protected_matrix<std::uint32_t, schemes::ElemSecded<std::uint32_t>,
                           schemes::StructSecded<std::uint32_t>>;
   expect_thread_count_invariant_spmv<PM, VecSecded64>(a, [](auto&, auto&) {});
   expect_thread_count_invariant_spmv<PM, VecSecded64>(a, [](auto& p, auto&) {
@@ -325,8 +325,8 @@ TEST(ThreadDeterminism, EllSecdedBatchPathCleanAndFaulty) {
 }
 
 TEST(ThreadDeterminism, EllSedBatchPathFaulty) {
-  const auto a = sparse::Ell<std::uint32_t>::from_csr(sparse::laplacian_2d(16, 13));
-  using PM = ProtectedEll<std::uint32_t, schemes::ElemSed<std::uint32_t>,
+  const auto a = EllFormat::make_plain<std::uint32_t, ElemNone>(sparse::laplacian_2d(16, 13));
+  using PM = EllFormat::protected_matrix<std::uint32_t, schemes::ElemSed<std::uint32_t>,
                           schemes::StructSed<std::uint32_t>>;
   expect_thread_count_invariant_spmv<PM, VecSed>(a, [](auto& p, auto&) {
     flip_value_bit(p, 64 * 33 + 50);
@@ -338,10 +338,9 @@ TEST(ThreadDeterminism, EllTileFaultStraddlingChunkBoundary) {
   // tile 1, which spans slots [64, 160): rows 64..95 of slab column 0 plus
   // rows 0..63 of column 1 — i.e. the tile is shared by both chunks, the
   // exact case the claim table arbitrates.
-  const auto a = sparse::Ell<std::uint32_t>::from_csr(
-      sparse::laplacian_2d(12, 8), ElemCrc32cTile::kMinRowNnz);
+  const auto a = EllFormat::make_plain<std::uint32_t, ElemCrc32cTile>(sparse::laplacian_2d(12, 8));
   ASSERT_EQ(a.nrows(), 96u);
-  using PM = ProtectedEll<std::uint32_t, schemes::ElemCrc32cTile<std::uint32_t>,
+  using PM = EllFormat::protected_matrix<std::uint32_t, schemes::ElemCrc32cTile<std::uint32_t>,
                           schemes::StructCrc32c<std::uint32_t>>;
   expect_thread_count_invariant_spmv<PM, VecNone>(a, [](auto& p, auto&) {
     flip_value_bit(p, 64 * 70 + 13);
@@ -534,9 +533,8 @@ TEST(ThreadDeterminism, SpmmCsrSecdedWithMatrixAndColumnFaults) {
 }
 
 TEST(ThreadDeterminism, SpmmEllTileFaultStraddlingChunkBoundary) {
-  const auto a = sparse::Ell<std::uint32_t>::from_csr(sparse::laplacian_2d(12, 8),
-                                                      ElemCrc32cTile::kMinRowNnz);
-  using PM = ProtectedEll<std::uint32_t, schemes::ElemCrc32cTile<std::uint32_t>,
+  const auto a = EllFormat::make_plain<std::uint32_t, ElemCrc32cTile>(sparse::laplacian_2d(12, 8));
+  using PM = EllFormat::protected_matrix<std::uint32_t, schemes::ElemCrc32cTile<std::uint32_t>,
                           schemes::StructCrc32c<std::uint32_t>>;
   expect_thread_count_invariant_spmm<PM, VecNone>(a, 3, [](auto& p, auto&) {
     flip_value_bit(p, 64 * 70 + 13);  // tile shared by two chunks
@@ -589,8 +587,8 @@ void expect_x_checks_one_sweep_per_pass_all_formats() {
   using SS = schemes::StructSecded<std::uint32_t>;
   expect_x_checks_one_sweep_per_pass<ProtectedCsr<std::uint32_t, ElemSecded, RowSecded64>,
                                      VS>(a);
-  expect_x_checks_one_sweep_per_pass<ProtectedEll<std::uint32_t, SE, SS>, VS>(
-      sparse::Ell<std::uint32_t>::from_csr(a));
+  expect_x_checks_one_sweep_per_pass<EllFormat::protected_matrix<std::uint32_t, SE, SS>, VS>(
+      EllFormat::make_plain<std::uint32_t, SE>(a));
   expect_x_checks_one_sweep_per_pass<ProtectedSell<std::uint32_t, SE, SS>, VS>(
       sparse::Sell<std::uint32_t>::from_csr(a));
 }
