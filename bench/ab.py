@@ -11,8 +11,10 @@ of the parent commit unpacked into a scratch directory). For every workload
 and every seed, one pair of `perfbench/run.py --trace 0` runs goes out, the
 side that runs first alternating from pair to pair; the hold-out seed gets
 one more pair, reported apart from the development seeds. With
---traced-seconds, one traced run per side on the hold-out seed adds the
-per-layer metrics, ranked by how far each moved.
+--traced-seconds, three alternated traced runs per side on the hold-out seed
+add the per-layer metrics: each side's value of a metric is its best of the
+three (lowest or highest, by the metric's `better` in BENCHMARK.json), which
+damps one slow run's noise; the metrics are ranked by how far each moved.
 
 The JSON written to --out holds the host fingerprint, every run's result
 line, and per workload and end-to-end metric: each side's median and
@@ -44,6 +46,8 @@ import platform
 import statistics
 import subprocess
 import sys
+
+TRACED_RUNS = 3
 
 
 def run_one(checkout, workload, seed, seconds, trace):
@@ -104,6 +108,15 @@ def summarise(spec_metric, parent_runs, change_runs):
             "change_rel": rel, "pairs_won": won, "pairs": len(p),
             "parent_spread": (pq3 - pq1) / pmed if pmed else 0.0,
             "verdict": verdict}
+
+
+def best_of(runs, better):
+    """Per metric, the best value over \p runs (dicts of name -> value)."""
+    best = {}
+    for name in sorted(set().union(*runs)):
+        values = [r[name] for r in runs if name in r]
+        best[name] = max(values) if better.get(name) == "higher" else min(values)
+    return best
 
 
 def traced_change(report, workload):
@@ -186,12 +199,16 @@ def main():
             summary["holdout"][m["name"]] = {
                 side: holdout[side]["metrics"][m["name"]]["value"] for side in holdout}
         if args.traced_seconds > 0:
-            traced = {}
-            for side in ("parent", "change"):
-                r = run_one(sides[side], workload, args.holdout, args.traced_seconds, 1)
-                report["runs"].append({"workload": workload, "side": side,
-                                       "seed": args.holdout, "trace": 1, "result": r})
-                traced[side] = {k: v["value"] for k, v in r["metrics"].items()}
+            better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+            traced_runs = {"parent": [], "change": []}
+            for i in range(TRACED_RUNS):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for side in order:
+                    r = run_one(sides[side], workload, args.holdout, args.traced_seconds, 1)
+                    report["runs"].append({"workload": workload, "side": side,
+                                           "seed": args.holdout, "trace": 1, "result": r})
+                    traced_runs[side].append({k: v["value"] for k, v in r["metrics"].items()})
+            traced = {side: best_of(runs, better) for side, runs in traced_runs.items()}
             summary["per_layer_holdout"] = traced
             # Which layer moved: per-layer change over parent, largest first.
             moved = {k: traced["change"][k] / v - 1.0

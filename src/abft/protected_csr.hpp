@@ -19,7 +19,7 @@
 #include "abft/check_policy.hpp"
 #include "abft/element_schemes.hpp"
 #include "abft/error_capture.hpp"
-#include "abft/structure_schemes.hpp"
+#include "abft/protected_index_array.hpp"
 #include "abft/scheme_errors.hpp"
 #include "abft/spmv_chunk.hpp"
 #include "common/aligned.hpp"
@@ -214,24 +214,11 @@ class ProtectedCsr {
       }
     }
 
-    // Row pointers: pad the storage to a whole number of groups; padding
-    // entries hold NNZ (a valid offset) so every group encodes cleanly.
-    // Encoded straight from the source so each group is written exactly once
-    // (first touch again, in the readers' static group order).
-    const std::size_t len = a.nrows() + 1;
-    const std::size_t padded = (len + RS::kGroup - 1) / RS::kGroup * RS::kGroup;
-    p.row_ptr_.resize(padded);
-    const std::size_t ngroups = padded / RS::kGroup;
-#pragma omp parallel for schedule(static) if (ngroups >= kParallelRows)
-    for (std::int64_t gi = 0; gi < static_cast<std::int64_t>(ngroups); ++gi) {
-      index_type group[RS::kGroup];
-      for (std::size_t e = 0; e < RS::kGroup; ++e) {
-        const std::size_t i = static_cast<std::size_t>(gi) * RS::kGroup + e;
-        group[e] = i < len ? a.row_ptr()[i] : static_cast<index_type>(a.nnz());
-      }
-      RS::encode_group(group,
-                       p.row_ptr_.data() + static_cast<std::size_t>(gi) * RS::kGroup);
-    }
+    // Row pointers, encoded straight from the source; the group padding
+    // holds NNZ, a valid offset.
+    p.row_ptr_ = ProtectedIndexArray<Index, RS>(
+        Region::csr_row_ptr, a.nrows() + 1, static_cast<index_type>(a.nnz()),
+        [&](std::size_t i) { return a.row_ptr()[i]; });
     return p;
   }
 
@@ -255,25 +242,10 @@ class ProtectedCsr {
   [[nodiscard]] index_type* cols_data() noexcept { return cols_.data(); }
   [[nodiscard]] std::span<double> raw_values() noexcept { return values_; }
   [[nodiscard]] std::span<index_type> raw_cols() noexcept { return cols_; }
-  [[nodiscard]] std::span<index_type> raw_row_ptr() noexcept { return row_ptr_; }
-  [[nodiscard]] std::span<const index_type> raw_row_ptr() const noexcept { return row_ptr_; }
-  /// Format-uniform name for the structural index array (CSR: row pointers).
-  [[nodiscard]] std::span<index_type> raw_structure() noexcept { return row_ptr_; }
-
-  /// Checked row-pointer read (slow path; kernels use RowPtrReader).
-  [[nodiscard]] index_type row_ptr_at(std::size_t i) {
-    index_type group[RS::kGroup];
-    const std::size_t g = i / RS::kGroup;
-    const auto outcome = RS::decode_group(row_ptr_.data() + g * RS::kGroup, group);
-    handle(Region::csr_row_ptr, outcome, g);
-    return group[i % RS::kGroup];
-  }
-
-  /// Unchecked masked row-pointer read for check-interval skip iterations;
-  /// the caller must range-guard the result against nnz() (paper §VI-A2).
-  [[nodiscard]] index_type row_ptr_bounds_only(std::size_t i) const noexcept {
-    return row_ptr_[i] & RS::kValueMask;
-  }
+  /// Format-uniform name for the structural index array (CSR: row pointers)
+  /// and its protected reads (checked, masked, cached).
+  [[nodiscard]] std::span<index_type> raw_structure() noexcept { return row_ptr_.raw(); }
+  [[nodiscard]] ProtectedIndexArray<Index, RS>& structure() noexcept { return row_ptr_; }
 
   /// Checked element read (slow path; kernels iterate rows directly).
   /// For the row-granular CRC scheme this verifies the whole containing row.
@@ -287,8 +259,8 @@ class ProtectedCsr {
   /// row and a logged bounds violation rather than an underflowed count —
   /// the no-out-of-range-access guarantee of §VI-A2.
   [[nodiscard]] std::size_t row_nnz_at(std::size_t r) {
-    const std::size_t begin = row_ptr_at(r);
-    const std::size_t end = row_ptr_at(r + 1);
+    const std::size_t begin = row_ptr_.at(r, log_, policy_);
+    const std::size_t end = row_ptr_.at(r + 1, log_, policy_);
     if (begin > end || end > nnz_) {
       if (log_ != nullptr) log_->record_bounds_violation(Region::csr_row_ptr, r);
       return 0;
@@ -297,49 +269,27 @@ class ProtectedCsr {
   }
 
   /// Checked \p j-th element of row \p r — the format-uniform slow-path
-  /// accessor (solver setup code iterates j in [0, row_nnz_at(r))). The row
-  /// extent is resolved once (element_at would re-decode it); a slot beyond
-  /// the guarded extent raises BoundsViolation so recovery wrappers can
-  /// checkpoint-restart.
+  /// accessor (solver setup code iterates j in [0, row_nnz_at(r))). A slot
+  /// beyond the guarded row extent raises BoundsViolation so recovery
+  /// wrappers can checkpoint-restart.
   [[nodiscard]] Element element_in_row(std::size_t r, std::size_t j) {
-    const std::size_t begin = row_ptr_at(r);
-    const std::size_t end = row_ptr_at(r + 1);
+    const std::size_t begin = row_ptr_.at(r, log_, policy_);
+    const std::size_t end = row_ptr_.at(r + 1, log_, policy_);
     if (begin > end || end > nnz_ || j >= end - begin) {
       if (log_ != nullptr) log_->record_bounds_violation(Region::csr_row_ptr, r);
       throw BoundsViolation(Region::csr_row_ptr, r);
     }
     const std::size_t k = begin + j;
     if constexpr (ES::kRowGranular) {
-      const auto outcome =
-          ES::decode_row(values_.data() + begin, cols_.data() + begin, end - begin);
-      handle(Region::csr_values, outcome, r);
+      account_check(log_, policy_, Region::csr_values,
+                    ES::decode_row(values_.data() + begin, cols_.data() + begin, end - begin),
+                    r);
       return {values_[k], static_cast<index_type>(cols_[k] & ES::kColMask)};
     } else {
       double v;
       index_type c;
-      const auto outcome = ES::decode(values_[k], cols_[k], v, c);
-      handle(Region::csr_values, outcome, k);
-      return {v, c};
-    }
-  }
-
-  [[nodiscard]] Element element_at(std::size_t r, std::size_t k) {
-    if constexpr (ES::kRowGranular) {
-      const index_type begin = row_ptr_at(r);
-      const index_type end = row_ptr_at(r + 1);
-      if (begin > end || end > nnz_) {
-        if (log_ != nullptr) log_->record_bounds_violation(Region::csr_row_ptr, r);
-        throw BoundsViolation(Region::csr_row_ptr, r);
-      }
-      const auto outcome =
-          ES::decode_row(values_.data() + begin, cols_.data() + begin, end - begin);
-      handle(Region::csr_values, outcome, r);
-      return {values_[k], static_cast<index_type>(cols_[k] & ES::kColMask)};
-    } else {
-      double v;
-      index_type c;
-      const auto outcome = ES::decode(values_[k], cols_[k], v, c);
-      handle(Region::csr_values, outcome, k);
+      account_check(log_, policy_, Region::csr_values, ES::decode(values_[k], cols_[k], v, c),
+                    k);
       return {v, c};
     }
   }
@@ -353,43 +303,35 @@ class ProtectedCsr {
   /// worker fleet routes each batch's final verify into a private per-batch
   /// log (see service::MatrixLogView) so concurrent workers never contend on
   /// — or nondeterministically interleave — the shared matrix log.
+  /// Under throw_exception the error names the first failure's region and
+  /// index, as in ProtectedSell.
   std::size_t verify_all(FaultLog* log, DuePolicy policy) {
-    std::size_t failures = 0;
-    // Row pointers.
-    for (std::size_t g = 0; g < row_ptr_.size() / RS::kGroup; ++g) {
-      index_type group[RS::kGroup];
-      const auto outcome = RS::decode_group(row_ptr_.data() + g * RS::kGroup, group);
-      failures += count_and_log(log, Region::csr_row_ptr, outcome, g);
-    }
+    SweepTally tally;
+    row_ptr_.sweep(log, tally);
     // Elements: iterate rows through the (just verified) row pointers, but
     // guard the offsets so a DUE in the row pointers cannot fault us.
     std::size_t prev_end = 0;
     for (std::size_t r = 0; r < nrows_; ++r) {
-      std::size_t begin = row_ptr_[r] & RS::kValueMask;
-      std::size_t end = row_ptr_[r + 1] & RS::kValueMask;
+      std::size_t begin = row_ptr_.masked(r);
+      std::size_t end = row_ptr_.masked(r + 1);
       if (begin > end || end > nnz_) {
-        if (log != nullptr) log->record_bounds_violation(Region::csr_row_ptr, r);
-        ++failures;
+        tally.bounds_hit(log, Region::csr_row_ptr, r);
         begin = end = prev_end;
       }
       prev_end = end;
       if constexpr (ES::kRowGranular) {
-        const auto outcome =
-            ES::decode_row(values_.data() + begin, cols_.data() + begin, end - begin);
-        failures += count_and_log(log, Region::csr_values, outcome, r);
+        tally.check(log, Region::csr_values,
+                    ES::decode_row(values_.data() + begin, cols_.data() + begin, end - begin),
+                    r);
       } else {
         for (std::size_t k = begin; k < end; ++k) {
           double v;
           index_type c;
-          const auto outcome = ES::decode(values_[k], cols_[k], v, c);
-          failures += count_and_log(log, Region::csr_values, outcome, k);
+          tally.check(log, Region::csr_values, ES::decode(values_[k], cols_[k], v, c), k);
         }
       }
     }
-    if (failures > 0 && policy == DuePolicy::throw_exception) {
-      throw UncorrectableError(Region::csr_values, 0);
-    }
-    return failures;
+    return tally.finish(policy);
   }
 
   /// Decode back into an unprotected CSR matrix (checks everything).
@@ -399,16 +341,16 @@ class ProtectedCsr {
     auto& row_ptr = out.row_ptr();
     auto& cols = out.cols();
     auto& values = out.values();
-    for (std::size_t i = 0; i <= nrows_; ++i) row_ptr[i] = row_ptr_at(i);
+    for (std::size_t i = 0; i <= nrows_; ++i) row_ptr[i] = row_ptr_.at(i, log_, policy_);
     values.resize(nnz_);
     cols.resize(nnz_);
     for (std::size_t r = 0; r < nrows_; ++r) {
       const index_type begin = row_ptr[r];
       const index_type end = row_ptr[r + 1];
       if constexpr (ES::kRowGranular) {
-        const auto outcome =
-            ES::decode_row(values_.data() + begin, cols_.data() + begin, end - begin);
-        handle(Region::csr_values, outcome, r);
+        account_check(log_, policy_, Region::csr_values,
+                      ES::decode_row(values_.data() + begin, cols_.data() + begin, end - begin),
+                      r);
       }
       for (index_type k = begin; k < end; ++k) {
         if constexpr (ES::kRowGranular) {
@@ -417,8 +359,8 @@ class ProtectedCsr {
         } else {
           double v;
           index_type c;
-          const auto outcome = ES::decode(values_[k], cols_[k], v, c);
-          handle(Region::csr_values, outcome, k);
+          account_check(log_, policy_, Region::csr_values,
+                        ES::decode(values_[k], cols_[k], v, c), k);
           values[k] = v;
           cols[k] = c;
         }
@@ -430,28 +372,7 @@ class ProtectedCsr {
   /// Format-uniform spelling of to_csr (see plain_type).
   [[nodiscard]] plain_type to_plain() { return to_csr(); }
 
-  /// Route a check outcome to the log / policy (slow paths only).
-  void handle(Region region, CheckOutcome outcome, std::size_t index) {
-    if (log_ != nullptr) {
-      log_->add_checks();
-      log_->record(region, outcome, index);
-    }
-    if (outcome == CheckOutcome::uncorrectable && policy_ == DuePolicy::throw_exception) {
-      throw UncorrectableError(region, index);
-    }
-  }
-
  private:
-  [[nodiscard]] static std::size_t count_and_log(FaultLog* log, Region region,
-                                                 CheckOutcome outcome,
-                                                 std::size_t index) {
-    if (log != nullptr) {
-      log->add_checks();
-      log->record(region, outcome, index);
-    }
-    return outcome == CheckOutcome::uncorrectable ? 1 : 0;
-  }
-
   /// Serial-encode threshold: matrices below it (every unit-test case) are
   /// not worth a fork-join, and first touch only matters at page scale.
   static constexpr std::size_t kParallelRows = std::size_t{1} << 14;
@@ -461,69 +382,9 @@ class ProtectedCsr {
   std::size_t nnz_ = 0;
   aligned_uninit_vector<double> values_;
   aligned_uninit_vector<index_type> cols_;
-  aligned_uninit_vector<index_type> row_ptr_;
+  ProtectedIndexArray<Index, RS> row_ptr_;
   FaultLog* log_ = nullptr;
   DuePolicy policy_ = DuePolicy::throw_exception;
-};
-
-/// Cached decoder for the protected row-pointer vector (one group cached —
-/// CG's SpMV walks rows in order, so r and r+1 usually share a group).
-/// Thread-private; errors are deferred through an ErrorCapture.
-template <class Index, class ES, class RS>
-class RowPtrReader {
- public:
-  explicit RowPtrReader(ProtectedCsr<Index, ES, RS>& m, ErrorCapture* capture) noexcept
-      : m_(&m), capture_(capture) {}
-
-  ~RowPtrReader() { flush_checks(); }
-  RowPtrReader(const RowPtrReader&) = delete;
-  RowPtrReader& operator=(const RowPtrReader&) = delete;
-
-  /// Checked, masked row-pointer value. RowNone has no redundancy to decode,
-  /// so its "check" collapses to the bare load (still counted, matching the
-  /// grouped path's accounting — ported from the SELL structure reader).
-  [[nodiscard]] Index get(std::size_t i) {
-    if constexpr (RS::kScheme == ecc::Scheme::none) {
-      ++local_checks_;
-      return m_->raw_row_ptr()[i];
-    } else {
-      const std::size_t g = i / RS::kGroup;
-      if (g != cached_group_) {
-        const auto outcome =
-            RS::decode_group(m_->raw_row_ptr().data() + g * RS::kGroup, decoded_);
-        ++local_checks_;
-        capture_->record(Region::csr_row_ptr, outcome, g);
-        cached_group_ = g;
-      }
-      return decoded_[i % RS::kGroup];
-    }
-  }
-
-  /// Masked-only value for check-interval skip iterations.
-  [[nodiscard]] Index get_bounds_only(std::size_t i) const noexcept {
-    return m_->raw_row_ptr()[i] & RS::kValueMask;
-  }
-
-  /// Drop the cached group. Called at every chunk boundary so the decode
-  /// (and check-count) pattern is a pure function of the chunk, not of which
-  /// chunks happen to share a thread — row r+1 of a chunk's last row lives
-  /// in the next chunk's first group, so without this a 1-thread pass would
-  /// count fewer decodes than an n-thread pass.
-  void invalidate() noexcept { cached_group_ = static_cast<std::size_t>(-1); }
-
-  void flush_checks() noexcept {
-    if (local_checks_ > 0) {
-      capture_->add_checks(local_checks_);
-      local_checks_ = 0;
-    }
-  }
-
- private:
-  ProtectedCsr<Index, ES, RS>* m_;
-  ErrorCapture* capture_;
-  std::size_t cached_group_ = static_cast<std::size_t>(-1);
-  std::uint64_t local_checks_ = 0;
-  Index decoded_[RS::kGroup] = {};
 };
 
 /// Per-thread row accessor driving SpMV over one protected CSR matrix: wraps
@@ -545,7 +406,7 @@ class CsrRowCursor {
 
   CsrRowCursor(matrix_type& m, ErrorCapture* capture, pass_state* = nullptr) noexcept
       : capture_(capture),
-        rp_(m, capture),
+        rp_(m.structure().reader(0, capture)),
         values_(m.values_data()),
         cols_(m.cols_data()),
         nnz_(m.nnz()),
@@ -608,7 +469,7 @@ class CsrRowCursor {
 
  private:
   ErrorCapture* capture_;
-  RowPtrReader<Index, ES, RS> rp_;
+  typename ProtectedIndexArray<Index, RS>::Reader rp_;
   double* values_;
   Index* cols_;
   std::size_t nnz_;

@@ -31,6 +31,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -149,6 +150,34 @@ void for_each_block(std::size_t ngroups, const Body& body) {
     const std::size_t g0 = static_cast<std::size_t>(bi) * kVecRunGroups;
     body(g0, std::min(kVecRunGroups, ngroups - g0));
   }
+}
+
+/// The one element-wise BLAS-1 pass: out[i] = f(in[i]...). Per block, each
+/// input is checked with one check-only run call into its own capture, f
+/// runs on the masked storage into a block buffer, and out's block is
+/// encoded with one run call. out is written whole-group with no prior read,
+/// so it is checked only when it is also an input. Every input's log gains
+/// out.groups() checks, and the inputs commit in argument order (see
+/// commit_each).
+template <class VS, class F, class... In>
+void map(ProtectedVector<VS>& out, const F& f, In&... in) {
+  constexpr std::size_t G = VS::kGroup;
+  const std::size_t ngroups = out.groups();
+  std::array<ErrorCapture, sizeof...(In)> captures;
+  for_each_block(ngroups, [&](std::size_t g0, std::size_t n) {
+    std::size_t i = 0;
+    (check_block(in, g0, n, captures[i++]), ...);
+    Block<VS> buf;
+    double* const o = write_block(out, g0, buf);
+    [&](const auto*... v) {
+#pragma omp simd
+      for (std::size_t e = 0; e < n * G; ++e) o[e] = f(VS::mask(v[e])...);
+    }((in.data() + g0 * G)...);
+    encode_block(out, g0, n, o);
+  });
+  for (auto& c : captures) c.add_checks(ngroups);
+  std::size_t i = 0;
+  commit_each({OperandCommit{&captures[i++], in.fault_log(), in.due_policy()}...});
 }
 
 /// Verify every codeword group of \p x exactly once, correcting in place and
@@ -405,74 +434,33 @@ template <class VS>
   return sum;
 }
 
-namespace detail {
-
-/// The two-operand update y = f(x, y), element by element: one check of
-/// each input group and one encode of y.
-template <class VS, class F>
-void update(ProtectedVector<VS>& x, ProtectedVector<VS>& y, const F& f) {
-  const std::size_t ngroups = x.groups();
-  ErrorCapture cx, cy;
-  for_each_block(ngroups, [&](std::size_t g0, std::size_t n) {
-    check_block(x, g0, n, cx);
-    check_block(y, g0, n, cy);
-    const double* const vx = x.data() + g0 * VS::kGroup;
-    const double* const vy = y.data() + g0 * VS::kGroup;
-    Block<VS> buf;
-    double* const out = write_block(y, g0, buf);
-#pragma omp simd
-    for (std::size_t e = 0; e < n * VS::kGroup; ++e) {
-      out[e] = f(VS::mask(vx[e]), VS::mask(vy[e]));
-    }
-    encode_block(y, g0, n, out);
-  });
-  cx.add_checks(ngroups);
-  cy.add_checks(ngroups);
-  commit_each({{&cx, x.fault_log(), x.due_policy()}, {&cy, y.fault_log(), y.due_policy()}});
-}
-
-}  // namespace detail
-
 /// y += alpha * x, one check of each input group and one encode of y.
 template <class VS>
 void axpy(double alpha, ProtectedVector<VS>& x, ProtectedVector<VS>& y) {
   if (x.size() != y.size()) throw std::invalid_argument("axpy: dimension mismatch");
-  detail::update(x, y, [alpha](double vx, double vy) { return vy + alpha * vx; });
+  detail::map(y, [alpha](double vx, double vy) { return vy + alpha * vx; }, x, y);
 }
 
 /// y = x + beta * y (CG direction update).
 template <class VS>
 void xpby(ProtectedVector<VS>& x, double beta, ProtectedVector<VS>& y) {
   if (x.size() != y.size()) throw std::invalid_argument("xpby: dimension mismatch");
-  detail::update(x, y, [beta](double vx, double vy) { return vx + beta * vy; });
+  detail::map(y, [beta](double vx, double vy) { return vx + beta * vy; }, x, y);
 }
 
 /// y = alpha * x + beta * y (general two-term update).
 template <class VS>
 void axpby(double alpha, ProtectedVector<VS>& x, double beta, ProtectedVector<VS>& y) {
   if (x.size() != y.size()) throw std::invalid_argument("axpby: dimension mismatch");
-  detail::update(x, y,
-                 [alpha, beta](double vx, double vy) { return alpha * vx + beta * vy; });
+  detail::map(
+      y, [alpha, beta](double vx, double vy) { return alpha * vx + beta * vy; }, x, y);
 }
 
 /// dst = src (check + re-encode; the write needs no prior read).
 template <class VS>
 void copy(ProtectedVector<VS>& src, ProtectedVector<VS>& dst) {
   if (src.size() != dst.size()) throw std::invalid_argument("copy: dimension mismatch");
-  const std::size_t ngroups = src.groups();
-  ErrorCapture capture;
-  detail::for_each_block(ngroups, [&](std::size_t g0, std::size_t n) {
-    detail::check_block(src, g0, n, capture);
-    const double* const v = src.data() + g0 * VS::kGroup;
-    detail::Block<VS> buf;
-    double* const out = detail::write_block(dst, g0, buf);
-    for (std::size_t e = 0; e < n * VS::kGroup; ++e) out[e] = VS::mask(v[e]);
-    detail::encode_block(dst, g0, n, out);
-  });
-  capture.add_checks(ngroups);
-  // Only src is checked (dst is written whole-group, no prior read), so the
-  // single capture is already correctly attributed.
-  capture.commit(src.fault_log(), src.due_policy());
+  detail::map(dst, [](double v) { return v; }, src);
 }
 
 /// r = a - b (residual assembly; the write needs no prior read of r).
@@ -481,25 +469,7 @@ void sub(ProtectedVector<VS>& a, ProtectedVector<VS>& b, ProtectedVector<VS>& r)
   if (a.size() != b.size() || a.size() != r.size()) {
     throw std::invalid_argument("sub: dimension mismatch");
   }
-  const std::size_t ngroups = a.groups();
-  ErrorCapture ca, cb;
-  detail::for_each_block(ngroups, [&](std::size_t g0, std::size_t n) {
-    detail::check_block(a, g0, n, ca);
-    detail::check_block(b, g0, n, cb);
-    const double* const va = a.data() + g0 * VS::kGroup;
-    const double* const vb = b.data() + g0 * VS::kGroup;
-    detail::Block<VS> buf;
-    double* const out = detail::write_block(r, g0, buf);
-    for (std::size_t e = 0; e < n * VS::kGroup; ++e) {
-      out[e] = VS::mask(va[e]) - VS::mask(vb[e]);
-    }
-    detail::encode_block(r, g0, n, out);
-  });
-  ca.add_checks(ngroups);
-  cb.add_checks(ngroups);
-  // r is written whole-group without a prior read — no outcomes belong to it.
-  detail::commit_each({{&ca, a.fault_log(), a.due_policy()},
-                       {&cb, b.fault_log(), b.due_policy()}});
+  detail::map(r, [](double va, double vb) { return va - vb; }, a, b);
 }
 
 /// y[i] += s[i] * x[i] (pointwise fused multiply-add; Jacobi's D^-1 step).
@@ -508,28 +478,7 @@ void pointwise_fma(ProtectedVector<VS>& s, ProtectedVector<VS>& x, ProtectedVect
   if (s.size() != x.size() || s.size() != y.size()) {
     throw std::invalid_argument("pointwise_fma: dimension mismatch");
   }
-  const std::size_t ngroups = s.groups();
-  ErrorCapture cs, cx, cy;
-  detail::for_each_block(ngroups, [&](std::size_t g0, std::size_t n) {
-    detail::check_block(s, g0, n, cs);
-    detail::check_block(x, g0, n, cx);
-    detail::check_block(y, g0, n, cy);
-    const double* const vs = s.data() + g0 * VS::kGroup;
-    const double* const vx = x.data() + g0 * VS::kGroup;
-    const double* const vy = y.data() + g0 * VS::kGroup;
-    detail::Block<VS> buf;
-    double* const out = detail::write_block(y, g0, buf);
-    for (std::size_t e = 0; e < n * VS::kGroup; ++e) {
-      out[e] = VS::mask(vy[e]) + VS::mask(vs[e]) * VS::mask(vx[e]);
-    }
-    detail::encode_block(y, g0, n, out);
-  });
-  cs.add_checks(ngroups);
-  cx.add_checks(ngroups);
-  cy.add_checks(ngroups);
-  detail::commit_each({{&cs, s.fault_log(), s.due_policy()},
-                       {&cx, x.fault_log(), x.due_policy()},
-                       {&cy, y.fault_log(), y.due_policy()}});
+  detail::map(y, [](double vs, double vx, double vy) { return vy + vs * vx; }, s, x, y);
 }
 
 /// x[i] = value for i < size(); padding elements stay zero.

@@ -46,8 +46,8 @@
 #include "abft/check_policy.hpp"
 #include "abft/element_schemes.hpp"
 #include "abft/error_capture.hpp"
+#include "abft/protected_index_array.hpp"
 #include "abft/spmv_chunk.hpp"
-#include "abft/structure_schemes.hpp"
 #include "abft/tile_check.hpp"
 #include "common/aligned.hpp"
 #include "common/fault_log.hpp"
@@ -203,21 +203,13 @@ class ProtectedSell {
     };
     p.rl_off_ = padded(p.nslices_);
     p.perm_off_ = p.rl_off_ + padded(p.nrows_);
-    p.structure_.assign(p.perm_off_ + (permuted ? padded(p.nrows_) : 0), 0);
-    for (std::size_t s = 0; s < p.nslices_; ++s) {
-      p.structure_[s] = static_cast<Index>(a.slice_width(s));
-    }
-    for (std::size_t i = 0; i < p.nrows_; ++i) {
-      p.structure_[p.rl_off_ + i] = a.row_nnz()[i];
-      if (permuted) p.structure_[p.perm_off_ + i] = a.perm()[i];
-    }
-    for (std::size_t g = 0; g < p.structure_.size() / SS::kGroup; ++g) {
-      index_type group[SS::kGroup];
-      for (std::size_t e = 0; e < SS::kGroup; ++e) {
-        group[e] = p.structure_[g * SS::kGroup + e];
-      }
-      SS::encode_group(group, p.structure_.data() + g * SS::kGroup);
-    }
+    p.structure_ = ProtectedIndexArray<Index, SS>(
+        Region::sell_structure, (permuted ? p.perm_off_ : p.rl_off_) + p.nrows_, 0,
+        [&](std::size_t i) -> std::size_t {
+          if (i < p.rl_off_) return i < p.nslices_ ? a.slice_width(i) : 0;
+          if (i >= p.perm_off_) return a.perm()[i - p.perm_off_];
+          return i - p.rl_off_ < p.nrows_ ? a.row_nnz()[i - p.rl_off_] : 0;
+        });
 
     // Elements: every slot of every slice (padding and virtual rows
     // included) becomes a valid codeword, so integrity sweeps need no
@@ -308,25 +300,13 @@ class ProtectedSell {
   [[nodiscard]] std::span<index_type> raw_cols() noexcept { return cols_; }
   /// Format-uniform name for the structural index array: slice widths, row
   /// lengths and (sigma > 1 only) the permutation, in that order, each
-  /// section group-padded.
-  [[nodiscard]] std::span<index_type> raw_structure() noexcept { return structure_; }
-
-  /// Section bases within the structure array (cursor plumbing). The group
-  /// base is added to decoded-group indices so fault events carry the global
-  /// codeword index within the structure region.
-  [[nodiscard]] index_type* slice_width_storage() noexcept { return structure_.data(); }
-  [[nodiscard]] index_type* row_len_storage() noexcept {
-    return structure_.data() + rl_off_;
-  }
-  [[nodiscard]] index_type* perm_storage() noexcept {
-    return structure_.data() + perm_off_;
-  }
-  [[nodiscard]] std::size_t row_len_group_base() const noexcept {
-    return rl_off_ / SS::kGroup;
-  }
-  [[nodiscard]] std::size_t perm_group_base() const noexcept {
-    return perm_off_ / SS::kGroup;
-  }
+  /// section group-padded; and its protected reads (checked, masked, cached).
+  [[nodiscard]] std::span<index_type> raw_structure() noexcept { return structure_.raw(); }
+  [[nodiscard]] ProtectedIndexArray<Index, SS>& structure() noexcept { return structure_; }
+  /// Where the row-length and permutation sections start in the structure
+  /// array (the slice widths start at 0).
+  [[nodiscard]] std::size_t row_len_offset() const noexcept { return rl_off_; }
+  [[nodiscard]] std::size_t perm_offset() const noexcept { return perm_off_; }
   /// Derived (unprotected, range-guarded) slice offsets in slots.
   [[nodiscard]] const std::size_t* slice_ptr() const noexcept { return slice_ptr_.data(); }
   [[nodiscard]] const std::size_t* derived_widths() const noexcept { return widths_.data(); }
@@ -334,12 +314,6 @@ class ProtectedSell {
   /// element sweeps use this so a structural DUE cannot blind them.
   [[nodiscard]] std::size_t derived_width(std::size_t s) const noexcept {
     return widths_[s];
-  }
-
-  /// Checked slice-width read (slow path; kernels use the cursor's cached
-  /// readers).
-  [[nodiscard]] index_type slice_width_at(std::size_t s) {
-    return checked_struct_read(s);
   }
 
   /// Checked row-length read for *original* row \p r (slow path). The stored
@@ -350,8 +324,8 @@ class ProtectedSell {
   [[nodiscard]] index_type row_nnz_at(std::size_t r) {
     const std::size_t pos = stored_pos(r);
     if (pos == kNoPos) return 0;
-    const index_type rl = checked_struct_read(rl_off_ + pos);
-    const index_type w = checked_struct_read(pos / slice_);
+    const index_type rl = structure_.at(rl_off_ + pos, log_, policy_);
+    const index_type w = structure_.at(pos / slice_, log_, policy_);
     if (rl > w || rl > derived_width(pos / slice_)) {
       if (log_ != nullptr) log_->record_bounds_violation(Region::sell_structure, r);
       return 0;
@@ -380,23 +354,23 @@ class ProtectedSell {
     const std::size_t k = slice_ptr_[s] + j * slice_ + off;
     if constexpr (ES::kTileGranular) {
       const std::size_t t = tile_geom_.tile_of(k, values_.size());
-      const auto outcome =
-          ES::decode_tile(values_.data() + tile_geom_.tile_begin(t),
-                          cols_.data() + tile_geom_.tile_begin(t),
-                          tile_geom_.tile_slots(t, values_.size()));
-      handle(Region::sell_values, outcome, t);
+      account_check(log_, policy_, Region::sell_values,
+                    ES::decode_tile(values_.data() + tile_geom_.tile_begin(t),
+                                    cols_.data() + tile_geom_.tile_begin(t),
+                                    tile_geom_.tile_slots(t, values_.size())),
+                    t);
       return {values_[k], static_cast<index_type>(cols_[k] & ES::kColMask)};
     } else if constexpr (ES::kRowGranular) {
-      const auto outcome =
-          ES::decode_row(values_.data() + slice_ptr_[s] + off,
-                         cols_.data() + slice_ptr_[s] + off, derived_width(s), slice_);
-      handle(Region::sell_values, outcome, pos);
+      account_check(log_, policy_, Region::sell_values,
+                    ES::decode_row(values_.data() + slice_ptr_[s] + off,
+                                   cols_.data() + slice_ptr_[s] + off, derived_width(s), slice_),
+                    pos);
       return {values_[k], static_cast<index_type>(cols_[k] & ES::kColMask)};
     } else {
       double v;
       index_type c;
-      const auto outcome = ES::decode(values_[k], cols_[k], v, c);
-      handle(Region::sell_values, outcome, k);
+      account_check(log_, policy_, Region::sell_values, ES::decode(values_[k], cols_[k], v, c),
+                    k);
       return {v, c};
     }
   }
@@ -416,45 +390,32 @@ class ProtectedSell {
   /// verify_all calls on one container must be serialized by the caller —
   /// the fleet runs them inside its ordered commit section.
   std::size_t verify_all(FaultLog* log, DuePolicy policy) {
-    std::size_t failures = 0;
-    Region first_region = Region::sell_values;
-    std::size_t first_index = 0;
-    const auto note = [&](Region region, std::size_t index, std::size_t count) {
-      if (failures == 0 && count > 0) {
-        first_region = region;
-        first_index = index;
-      }
-      failures += count;
+    SweepTally tally;
+    const auto note = [&](std::size_t index, CheckOutcome outcome) {
+      tally.check(log, Region::sell_values, outcome, index);
     };
     const auto bounds_hit = [&](std::size_t index) {
-      if (log != nullptr) log->record_bounds_violation(Region::sell_structure, index);
-      note(Region::sell_structure, index, 1);
+      tally.bounds_hit(log, Region::sell_structure, index);
     };
 
-    // Structure codewords.
-    for (std::size_t g = 0; g < structure_.size() / SS::kGroup; ++g) {
-      index_type group[SS::kGroup];
-      const auto outcome = SS::decode_group(structure_.data() + g * SS::kGroup, group);
-      note(Region::sell_structure, g,
-           count_and_log(log, Region::sell_structure, outcome, g));
-    }
+    structure_.sweep(log, tally);
     // Semantic guards over the (now possibly repaired) masked values,
     // slice-major so the hot loop carries no divisions.
     for (std::size_t s = 0; s < nslices_; ++s) {
-      const index_type w = structure_[s] & SS::kValueMask;
+      const index_type w = structure_.masked(s);
       const std::size_t dw = derived_width(s);
       if (w != dw) bounds_hit(s);
       const std::size_t r0 = s * slice_;
       const std::size_t rend = std::min(r0 + slice_, nrows_);
       for (std::size_t i = r0; i < rend; ++i) {
-        const index_type rl = structure_[rl_off_ + i] & SS::kValueMask;
+        const index_type rl = structure_.masked(rl_off_ + i);
         if (rl > w || rl > dw) bounds_hit(rl_off_ + i);
       }
     }
     if (permuted()) {
       ++sweep_epoch_;
       for (std::size_t i = 0; i < nrows_; ++i) {
-        const index_type p = structure_[perm_off_ + i] & SS::kValueMask;
+        const index_type p = structure_.masked(perm_off_ + i);
         if (p >= nrows_ || seen_epoch_[p] == sweep_epoch_) {
           bounds_hit(perm_off_ + i);
         } else {
@@ -468,35 +429,27 @@ class ProtectedSell {
     // slab and needs no structural input at all).
     if constexpr (ES::kTileGranular) {
       for (std::size_t t = 0; t < tile_geom_.num_tiles(values_.size()); ++t) {
-        const auto outcome =
-            ES::decode_tile(values_.data() + tile_geom_.tile_begin(t),
-                            cols_.data() + tile_geom_.tile_begin(t),
-                            tile_geom_.tile_slots(t, values_.size()));
-        note(Region::sell_values, t, count_and_log(log, Region::sell_values, outcome, t));
+        note(t, ES::decode_tile(values_.data() + tile_geom_.tile_begin(t),
+                                cols_.data() + tile_geom_.tile_begin(t),
+                                tile_geom_.tile_slots(t, values_.size())));
       }
     } else if constexpr (ES::kRowGranular) {
       for (std::size_t s = 0; s < nslices_; ++s) {
         const std::size_t base = slice_ptr_[s];
         const std::size_t width = derived_width(s);
         for (std::size_t e = 0; e < slice_; ++e) {
-          const auto outcome = ES::decode_row(values_.data() + base + e,
-                                              cols_.data() + base + e, width, slice_);
-          note(Region::sell_values, s * slice_ + e,
-               count_and_log(log, Region::sell_values, outcome, s * slice_ + e));
+          note(s * slice_ + e, ES::decode_row(values_.data() + base + e,
+                                              cols_.data() + base + e, width, slice_));
         }
       }
     } else {
       for (std::size_t k = 0; k < values_.size(); ++k) {
         double v;
         index_type c;
-        const auto outcome = ES::decode(values_[k], cols_[k], v, c);
-        note(Region::sell_values, k, count_and_log(log, Region::sell_values, outcome, k));
+        note(k, ES::decode(values_[k], cols_[k], v, c));
       }
     }
-    if (failures > 0 && policy == DuePolicy::throw_exception) {
-      throw UncorrectableError(first_region, first_index);
-    }
-    return failures;
+    return tally.finish(policy);
   }
 
   /// Decode back into an unprotected SELL matrix (checks everything). The
@@ -508,7 +461,7 @@ class ProtectedSell {
   [[nodiscard]] sell_type to_sell() {
     aligned_vector<index_type> widths(nslices_);
     for (std::size_t s = 0; s < nslices_; ++s) {
-      (void)checked_struct_read(s);  // log/correct the stored width
+      (void)structure_.at(s, log_, policy_);  // log/correct the stored width
       widths[s] = static_cast<index_type>(derived_width(s));
     }
     sell_type out(nrows_, ncols_, slice_,
@@ -517,7 +470,7 @@ class ProtectedSell {
     std::vector<bool> used(nrows_, false);
     std::vector<std::size_t> conflicting;
     for (std::size_t i = 0; i < nrows_; ++i) {
-      const index_type rl = checked_struct_read(rl_off_ + i);
+      const index_type rl = structure_.at(rl_off_ + i, log_, policy_);
       if (rl > widths[i / slice_]) {
         if (log_ != nullptr) log_->record_bounds_violation(Region::sell_structure, i);
         out.row_nnz()[i] = 0;
@@ -525,7 +478,7 @@ class ProtectedSell {
         out.row_nnz()[i] = rl;
       }
       if (!permuted()) continue;  // the constructor's identity stands
-      const index_type p = checked_struct_read(perm_off_ + i);
+      const index_type p = structure_.at(perm_off_ + i, log_, policy_);
       if (p >= nrows_ || used[p]) {
         if (log_ != nullptr) log_->record_bounds_violation(Region::sell_structure, i);
         conflicting.push_back(i);
@@ -545,11 +498,11 @@ class ProtectedSell {
       // Verify (and repair) every tile up front; the slab loop below then
       // copies masked slots.
       for (std::size_t t = 0; t < tile_geom_.num_tiles(values_.size()); ++t) {
-        const auto outcome =
-            ES::decode_tile(values_.data() + tile_geom_.tile_begin(t),
-                            cols_.data() + tile_geom_.tile_begin(t),
-                            tile_geom_.tile_slots(t, values_.size()));
-        handle(Region::sell_values, outcome, t);
+        account_check(log_, policy_, Region::sell_values,
+                      ES::decode_tile(values_.data() + tile_geom_.tile_begin(t),
+                                      cols_.data() + tile_geom_.tile_begin(t),
+                                      tile_geom_.tile_slots(t, values_.size())),
+                      t);
       }
     }
     for (std::size_t s = 0; s < nslices_; ++s) {
@@ -557,9 +510,10 @@ class ProtectedSell {
       const std::size_t width = derived_width(s);
       for (std::size_t e = 0; e < slice_; ++e) {
         if constexpr (ES::kRowGranular) {
-          const auto outcome = ES::decode_row(values_.data() + base + e,
-                                              cols_.data() + base + e, width, slice_);
-          handle(Region::sell_values, outcome, s * slice_ + e);
+          account_check(log_, policy_, Region::sell_values,
+                        ES::decode_row(values_.data() + base + e, cols_.data() + base + e,
+                                       width, slice_),
+                        s * slice_ + e);
         }
         for (std::size_t j = 0; j < width; ++j) {
           const std::size_t k = base + j * slice_ + e;
@@ -569,8 +523,8 @@ class ProtectedSell {
           } else {
             double v;
             index_type c;
-            const auto outcome = ES::decode(values_[k], cols_[k], v, c);
-            handle(Region::sell_values, outcome, k);
+            account_check(log_, policy_, Region::sell_values,
+                          ES::decode(values_[k], cols_[k], v, c), k);
             out.values()[k] = v;
             out.cols()[k] = c;
           }
@@ -583,17 +537,6 @@ class ProtectedSell {
   /// Format-uniform spelling of to_sell (see plain_type).
   [[nodiscard]] plain_type to_plain() { return to_sell(); }
 
-  /// Route a check outcome to the log / policy (slow paths only).
-  void handle(Region region, CheckOutcome outcome, std::size_t index) {
-    if (log_ != nullptr) {
-      log_->add_checks();
-      log_->record(region, outcome, index);
-    }
-    if (outcome == CheckOutcome::uncorrectable && policy_ == DuePolicy::throw_exception) {
-      throw UncorrectableError(region, index);
-    }
-  }
-
  private:
   /// Stored position of original row \p r (r itself under sigma = 1), or
   /// kNoPos (with a logged bounds violation) when the derived inverse
@@ -601,29 +544,9 @@ class ProtectedSell {
   [[nodiscard]] std::size_t stored_pos(std::size_t r) {
     if (!permuted() && r < nrows_) return r;
     const std::size_t pos = r < nrows_ ? inv_perm_[r] : kNoPos;
-    if (pos < nrows_ && checked_struct_read(perm_off_ + pos) == r) return pos;
+    if (pos < nrows_ && structure_.at(perm_off_ + pos, log_, policy_) == r) return pos;
     if (log_ != nullptr) log_->record_bounds_violation(Region::sell_structure, r);
     return kNoPos;
-  }
-
-  /// Decode the structure group containing entry \p idx and return the
-  /// masked value (slow path).
-  [[nodiscard]] index_type checked_struct_read(std::size_t idx) {
-    index_type group[SS::kGroup];
-    const std::size_t g = idx / SS::kGroup;
-    const auto outcome = SS::decode_group(structure_.data() + g * SS::kGroup, group);
-    handle(Region::sell_structure, outcome, g);
-    return group[idx % SS::kGroup];
-  }
-
-  [[nodiscard]] static std::size_t count_and_log(FaultLog* log, Region region,
-                                                 CheckOutcome outcome,
-                                                 std::size_t index) {
-    if (log != nullptr) {
-      log->add_checks();
-      log->record(region, outcome, index);
-    }
-    return outcome == CheckOutcome::uncorrectable ? 1 : 0;
   }
 
   std::size_t nrows_ = 0;
@@ -640,7 +563,7 @@ class ProtectedSell {
   std::size_t perm_off_ = 0;  ///< permutation section offset within structure_
   aligned_uninit_vector<double> values_;
   aligned_uninit_vector<index_type> cols_;
-  aligned_vector<index_type> structure_;
+  ProtectedIndexArray<Index, SS> structure_;
   std::vector<std::size_t> slice_ptr_;  ///< derived slot offsets (guarded)
   std::vector<std::size_t> widths_;     ///< derived slab widths, slice_ptr_'s steps / C
   /// Derived inverse permutation (cross-checked) and the bijectivity sweep's
@@ -651,67 +574,6 @@ class ProtectedSell {
   TileGeometry tile_geom_{};
   FaultLog* log_ = nullptr;
   DuePolicy policy_ = DuePolicy::throw_exception;
-};
-
-/// Cached decoder for one section of the protected structure array (one
-/// group cached — SpMV visits entries in order, so consecutive reads usually
-/// share a group). Thread-private; errors are deferred through an
-/// ErrorCapture with group indices offset into the whole structure region.
-template <class Index, class SS>
-class StructSectionReader {
- public:
-  StructSectionReader(Index* base, std::size_t group_base, ErrorCapture* capture) noexcept
-      : base_(base), group_base_(group_base), capture_(capture) {}
-
-  ~StructSectionReader() { flush_checks(); }
-  StructSectionReader(const StructSectionReader&) = delete;
-  StructSectionReader& operator=(const StructSectionReader&) = delete;
-
-  /// Checked, masked value of section entry \p i. StructNone has no
-  /// redundancy to decode, so its "check" collapses to the bare load (still
-  /// counted, matching the grouped path's accounting).
-  [[nodiscard]] Index get(std::size_t i) {
-    if constexpr (SS::kScheme == ecc::Scheme::none) {
-      ++local_checks_;
-      return base_[i];
-    } else {
-      const std::size_t g = i / SS::kGroup;
-      if (g != cached_group_) {
-        const auto outcome = SS::decode_group(base_ + g * SS::kGroup, decoded_);
-        ++local_checks_;
-        capture_->record(Region::sell_structure, outcome, group_base_ + g);
-        cached_group_ = g;
-      }
-      return decoded_[i % SS::kGroup];
-    }
-  }
-
-  /// Masked-only value for check-interval skip iterations.
-  [[nodiscard]] Index get_bounds_only(std::size_t i) const noexcept {
-    return base_[i] & SS::kValueMask;
-  }
-
-  /// Drop the cached group. Called at every chunk boundary so the decode
-  /// (and check-count) pattern is a pure function of the chunk, not of which
-  /// chunks happen to share a thread — the section bases are not
-  /// chunk-aligned in the combined structure array, so groups straddle
-  /// chunk boundaries (cross-thread-count determinism).
-  void invalidate() noexcept { cached_group_ = static_cast<std::size_t>(-1); }
-
-  void flush_checks() noexcept {
-    if (local_checks_ > 0) {
-      capture_->add_checks(local_checks_);
-      local_checks_ = 0;
-    }
-  }
-
- private:
-  Index* base_;
-  std::size_t group_base_;
-  ErrorCapture* capture_;
-  std::size_t cached_group_ = static_cast<std::size_t>(-1);
-  std::uint64_t local_checks_ = 0;
-  Index decoded_[SS::kGroup] = {};
 };
 
 /// Per-thread row accessor driving SpMV over one protected slab matrix — the
@@ -756,9 +618,9 @@ class SellRowCursor {
   SellRowCursor(matrix_type& m, ErrorCapture* capture,
                 pass_state* pass = nullptr) noexcept
       : capture_(capture),
-        sw_(m.slice_width_storage(), 0, capture),
-        rl_(m.row_len_storage(), m.row_len_group_base(), capture),
-        pr_(m.perm_storage(), m.perm_group_base(), capture),
+        sw_(m.structure().reader(0, capture)),
+        rl_(m.structure().reader(m.row_len_offset(), capture)),
+        pr_(m.structure().reader(m.perm_offset(), capture)),
         tiles_(m.values_data(), m.cols_data(), m.slots(), m.tile_geometry(),
                Region::sell_values, capture,
                pass != nullptr ? &pass->claims : nullptr),
@@ -996,9 +858,9 @@ class SellRowCursor {
   }
 
   ErrorCapture* capture_;
-  StructSectionReader<Index, SS> sw_;
-  StructSectionReader<Index, SS> rl_;
-  StructSectionReader<Index, SS> pr_;
+  typename ProtectedIndexArray<Index, SS>::Reader sw_;
+  typename ProtectedIndexArray<Index, SS>::Reader rl_;
+  typename ProtectedIndexArray<Index, SS>::Reader pr_;
   TileVerifier<Index, ES> tiles_;
   double* values_;
   Index* cols_;

@@ -129,17 +129,8 @@ class ProtectedVector {
     std::size_t failures = 0;
     double logical[kGroup];
     for (std::size_t g = 0; g < groups(); ++g) {
-      const auto outcome = S::decode_group(storage_.data() + g * kGroup, logical);
-      if (log_ != nullptr) {
-        log_->add_checks();
-        log_->record(Region::dense_vector, outcome, g);
-      }
-      if (outcome == CheckOutcome::uncorrectable) {
-        ++failures;
-        if (policy_ == DuePolicy::throw_exception) {
-          throw UncorrectableError(Region::dense_vector, g);
-        }
-      }
+      failures += account_check(log_, policy_, Region::dense_vector,
+                                S::decode_group(storage_.data() + g * kGroup, logical), g);
     }
     return failures;
   }
@@ -147,14 +138,7 @@ class ProtectedVector {
   /// Record a decode outcome (used by the group readers/writers below and by
   /// the kernels, which handle outcomes themselves for hot-loop control).
   void handle(CheckOutcome outcome, std::size_t group_index) {
-    if (log_ != nullptr) {
-      log_->add_checks();
-      log_->record(Region::dense_vector, outcome, group_index);
-    }
-    if (outcome == CheckOutcome::uncorrectable &&
-        policy_ == DuePolicy::throw_exception) {
-      throw UncorrectableError(Region::dense_vector, group_index);
-    }
+    account_check(log_, policy_, Region::dense_vector, outcome, group_index);
   }
 
  private:

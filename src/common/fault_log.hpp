@@ -204,4 +204,59 @@ class FaultLog {
   std::vector<FaultEvent> events_;
 };
 
+/// Account one serial codeword check: count it and record its outcome in
+/// \p log (when there is one), then raise an uncorrectable outcome under
+/// DuePolicy::throw_exception. Returns 1 for an uncorrectable outcome, 0
+/// otherwise; full sweeps pass record_only and raise once at the end (see
+/// SweepTally).
+inline std::size_t account_check(FaultLog* log, DuePolicy policy, Region region,
+                                 CheckOutcome outcome, std::size_t index) {
+  if (log != nullptr) {
+    log->add_checks();
+    log->record(region, outcome, index);
+  }
+  if (outcome != CheckOutcome::uncorrectable) return 0;
+  if (policy == DuePolicy::throw_exception) throw UncorrectableError(region, index);
+  return 1;
+}
+
+/// The failures a container's full integrity sweep finds: every check is
+/// logged as it happens, and finish() raises once, naming the first failure.
+class SweepTally {
+ public:
+  /// Account one codeword check to \p log; an uncorrectable one is a failure.
+  void check(FaultLog* log, Region region, CheckOutcome outcome, std::size_t index) {
+    note(region, index, account_check(log, DuePolicy::record_only, region, outcome, index));
+  }
+
+  /// Log a semantic-guard hit (a decoded value outside its bound) as a
+  /// bounds violation; it is a failure too.
+  void bounds_hit(FaultLog* log, Region region, std::size_t index) {
+    if (log != nullptr) log->record_bounds_violation(region, index);
+    note(region, index, 1);
+  }
+
+  /// The number of failures; under throw_exception any failure raises
+  /// UncorrectableError with the first one's region and index.
+  std::size_t finish(DuePolicy policy) const {
+    if (failures_ > 0 && policy == DuePolicy::throw_exception) {
+      throw UncorrectableError(first_region_, first_index_);
+    }
+    return failures_;
+  }
+
+ private:
+  void note(Region region, std::size_t index, std::size_t count) noexcept {
+    if (failures_ == 0 && count > 0) {
+      first_region_ = region;
+      first_index_ = index;
+    }
+    failures_ += count;
+  }
+
+  std::size_t failures_ = 0;
+  Region first_region_ = Region::other;
+  std::size_t first_index_ = 0;
+};
+
 }  // namespace abft

@@ -25,23 +25,13 @@ struct SpectralBounds {
 /// v *= s (block-wise scale helper).
 template <class VS>
 void scale_in_place(ProtectedVector<VS>& v, double s) {
-  ErrorCapture capture;
-  abft::detail::for_each_block(v.groups(), [&](std::size_t g0, std::size_t n) {
-    abft::detail::check_block(v, g0, n, capture);
-    const double* const vals = v.data() + g0 * VS::kGroup;
-    abft::detail::Block<VS> buf;
-    double* const out = abft::detail::write_block(v, g0, buf);
-    for (std::size_t e = 0; e < n * VS::kGroup; ++e) out[e] = VS::mask(vals[e]) * s;
-    abft::detail::encode_block(v, g0, n, out);
-  });
-  capture.add_checks(v.groups());
-  capture.commit(v.fault_log(), v.due_policy());
+  abft::detail::map(v, [s](double vv) { return vv * s; }, v);
 }
 
 /// w = s*v - w (helper for the shifted power iteration).
 template <class VS>
 void xpby_scaled(ProtectedVector<VS>& v, double s, ProtectedVector<VS>& w) {
-  abft::detail::update(v, w, [s](double vv, double vw) { return s * vv - vw; });
+  abft::detail::map(w, [s](double vv, double vw) { return s * vv - vw; }, v, w);
 }
 
 /// Power iteration for lambda_max, then shifted power iteration on

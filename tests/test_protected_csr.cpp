@@ -76,8 +76,8 @@ TYPED_TEST(ProtectedCsrTest, RowPtrAccessMatchesOriginal) {
   const auto a = test_matrix<ES>();
   auto p = ProtectedCsr<std::uint32_t, ES, RS>::from_csr(a);
   for (std::size_t i = 0; i <= a.nrows(); ++i) {
-    EXPECT_EQ(p.row_ptr_at(i), a.row_ptr()[i]) << i;
-    EXPECT_EQ(p.row_ptr_bounds_only(i), a.row_ptr()[i]) << i;
+    EXPECT_EQ(p.structure().at(i, p.fault_log(), p.due_policy()), a.row_ptr()[i]) << i;
+    EXPECT_EQ(p.structure().masked(i), a.row_ptr()[i]) << i;
   }
 }
 
@@ -88,7 +88,7 @@ TYPED_TEST(ProtectedCsrTest, ElementAccessMatchesOriginal) {
   auto p = ProtectedCsr<std::uint32_t, ES, RS>::from_csr(a);
   for (std::size_t r = 0; r < a.nrows(); r += 7) {
     for (auto k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k) {
-      const auto el = p.element_at(r, k);
+      const auto el = p.element_in_row(r, k - a.row_ptr()[r]);
       EXPECT_EQ(el.value, a.values()[k]);
       EXPECT_EQ(el.col, a.cols()[k]);
     }
@@ -149,12 +149,14 @@ TEST(ProtectedCsrFaults, SecdedCorrectsRowPtrFlip) {
   const auto a = sparse::laplacian_2d(16, 16);
   FaultLog log;
   auto p = ProtectedCsr<std::uint32_t, ElemSecded, RowSecded64>::from_csr(a, &log, DuePolicy::record_only);
-  auto row_ptr = p.raw_row_ptr();
+  auto row_ptr = p.raw_structure();
   faults::flip_bit(
       {reinterpret_cast<std::uint8_t*>(row_ptr.data()), row_ptr.size_bytes()}, 37 * 32 + 9);
   EXPECT_EQ(p.verify_all(), 0u);
   EXPECT_EQ(log.corrected(), 1u);
-  for (std::size_t i = 0; i <= a.nrows(); ++i) EXPECT_EQ(p.row_ptr_at(i), a.row_ptr()[i]);
+  for (std::size_t i = 0; i <= a.nrows(); ++i) {
+    EXPECT_EQ(p.structure().at(i, &log, DuePolicy::record_only), a.row_ptr()[i]);
+  }
 }
 
 TEST(ProtectedCsrFaults, SedDetectsButCannotCorrect) {
@@ -191,13 +193,29 @@ TEST(ProtectedCsrFaults, DoubleFlipInOneElementIsDue) {
   EXPECT_GE(log.uncorrectable(), 1u);
 }
 
+TEST(ProtectedCsrFaults, VerifyAllNamesTheFirstFailure) {
+  // The sweep raises with the first failure's region and index, as the slab
+  // container's does: a double flip in row-pointer entry 10 is a DUE in
+  // structure group 5 (two entries per RowSecded64 group).
+  const auto a = sparse::laplacian_2d(8, 8);
+  auto p = ProtectedCsr<std::uint32_t, ElemSecded, RowSecded64>::from_csr(a);
+  p.raw_structure()[10] ^= 0x3;
+  try {
+    (void)p.verify_all();
+    FAIL() << "verify_all did not raise";
+  } catch (const UncorrectableError& e) {
+    EXPECT_EQ(e.region(), Region::csr_row_ptr);
+    EXPECT_EQ(e.index(), 5u);
+  }
+}
+
 TEST(ProtectedCsrFaults, CorruptRowPtrIsBoundsGuardedInVerify) {
   // With an undetecting row scheme (RowNone) a corrupted offset must still
   // be caught by the range guard rather than fault the sweep.
   const auto a = sparse::laplacian_2d(10, 10);
   FaultLog log;
   auto p = ProtectedCsr<std::uint32_t, ElemNone, RowNone>::from_csr(a, &log, DuePolicy::record_only);
-  p.raw_row_ptr()[5] = 0x7F000000u;  // way past nnz
+  p.raw_structure()[5] = 0x7F000000u;  // way past nnz
   (void)p.verify_all();
   EXPECT_GE(log.bounds_violations(), 1u);
 }
@@ -210,7 +228,7 @@ TEST(ProtectedCsrFaults, CorruptRowPtrIsBoundsGuardedInRowAccessors) {
   FaultLog log;
   auto p =
       ProtectedCsr<std::uint32_t, ElemNone, RowNone>::from_csr(a, &log, DuePolicy::record_only);
-  p.raw_row_ptr()[5] = 0x7F000000u;  // begin > end for row 5, end > nnz for row 4
+  p.raw_structure()[5] = 0x7F000000u;  // begin > end for row 5, end > nnz for row 4
   EXPECT_EQ(p.row_nnz_at(5), 0u);
   EXPECT_GE(log.bounds_violations(), 1u);
   EXPECT_THROW((void)p.element_in_row(4, a.row_nnz(4) + 1000), BoundsViolation);

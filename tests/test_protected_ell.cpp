@@ -151,7 +151,7 @@ TEST(ProtectedEllFaults, BoundsGuardCatchesCorruptRowWidthInSkipMode) {
   FaultLog log;
   auto p = EllFormat::protected_matrix<std::uint32_t, ES, SS>::from_plain(
       a, &log, DuePolicy::record_only);
-  p.row_len_storage()[3] = 1000;  // way beyond the slab width
+  p.raw_structure()[p.row_len_offset() + 3] = 1000;  // way beyond the slab width
   std::vector<double> x(a.ncols(), 1.0), y(a.nrows());
   scheme_matrix::spmv_unprotected(p, x, y, CheckMode::bounds_only);
   EXPECT_GE(log.bounds_violations(), 1u);
@@ -168,7 +168,7 @@ TEST(ProtectedEllFaults, CorruptRowWidthIsBoundsGuardedInRowAccessors) {
   FaultLog log;
   auto p = EllFormat::protected_matrix<std::uint32_t, ES, SS>::from_plain(
       a, &log, DuePolicy::record_only);
-  p.row_len_storage()[3] = 1000;  // way beyond the slab width
+  p.raw_structure()[p.row_len_offset() + 3] = 1000;  // way beyond the slab width
   EXPECT_EQ(p.row_nnz_at(3), 0u);
   EXPECT_GE(log.bounds_violations(), 1u);
   EXPECT_THROW((void)p.element_in_row(3, 999), BoundsViolation);

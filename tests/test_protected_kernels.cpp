@@ -422,7 +422,7 @@ TEST(KernelFaults, CorruptRowPtrInBoundsOnlyModeIsCaught) {
   ProtectedVector<VecNone> x(a.ncols(), &log, DuePolicy::record_only);
   ProtectedVector<VecNone> y(a.nrows(), &log, DuePolicy::record_only);
   fill(x, 1.0);
-  pa.raw_row_ptr()[40] = 0x7FFFFFFEu;  // masked -> way past nnz
+  pa.raw_structure()[40] = 0x7FFFFFFEu;  // masked -> way past nnz
   spmv(pa, x, y, CheckMode::bounds_only);
   EXPECT_GE(log.bounds_violations(), 1u);
 }

@@ -160,7 +160,7 @@ TEST(ProtectedSellFaults, BoundsGuardCatchesCorruptRowLengthInSkipMode) {
   for (std::size_t i = 0; i < a.nrows(); ++i) {
     if (a.perm()[i] == 3) pos = i;
   }
-  p.row_len_storage()[pos] = 1000;  // way beyond any slice width
+  p.raw_structure()[p.row_len_offset() + pos] = 1000;  // way beyond any slice width
   std::vector<double> x(a.ncols(), 1.0), y(a.nrows());
   scheme_matrix::spmv_unprotected(p, x, y, CheckMode::bounds_only);
   EXPECT_GE(log.bounds_violations(), 1u);
@@ -176,8 +176,8 @@ TEST(ProtectedSellFaults, CorruptPermutationIsBoundsGuarded) {
   const auto a = sell_matrix<std::uint32_t, ES>();
   FaultLog log;
   auto p = ProtectedSell<std::uint32_t, ES, SS>::from_sell(a, &log, DuePolicy::record_only);
-  const std::uint32_t victim = p.perm_storage()[5];
-  p.perm_storage()[5] = 1 << 20;  // far outside the matrix
+  const std::uint32_t victim = p.raw_structure()[p.perm_offset() + 5];
+  p.raw_structure()[p.perm_offset() + 5] = 1 << 20;  // far outside the matrix
   std::vector<double> x(a.ncols(), 1.0), y(a.nrows(), -3.0);
   scheme_matrix::spmv_unprotected(p, x, y, CheckMode::bounds_only);
   EXPECT_GE(log.bounds_violations(), 1u);
@@ -194,7 +194,7 @@ TEST(ProtectedSellFaults, CorruptSliceWidthIsBoundsGuarded) {
   const auto a = sell_matrix<std::uint32_t, ES>();
   FaultLog log;
   auto p = ProtectedSell<std::uint32_t, ES, SS>::from_sell(a, &log, DuePolicy::record_only);
-  p.slice_width_storage()[0] = 5000;  // beyond the slab
+  p.raw_structure()[0] = 5000;  // beyond the slab
   std::vector<double> x(a.ncols(), 1.0), y(a.nrows());
   scheme_matrix::spmv_unprotected(p, x, y, CheckMode::bounds_only);
   EXPECT_GE(log.bounds_violations(), 1u);
