@@ -3,11 +3,18 @@
 /// of the three kernels the paper says dominate TeaLeaf's runtime (SpMV, dot
 /// product, vector updates) so the figure-level overheads can be attributed;
 /// the crc32c BLAS-1 legs run under both the software and hardware CRC32C.
+/// BM_CgIteration times one whole CG iteration, kernel by kernel against the
+/// two fused passes, so the fusion's gain is measured inside one binary.
 /// Also benches the GroupReader stencil cache (paper §VI-C ablation).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "abft/abft.hpp"
 #include "common/rng.hpp"
@@ -135,6 +142,75 @@ BLAS1_BENCH(BM_Dot)
 BLAS1_BENCH(BM_Axpy)
 BLAS1_BENCH(BM_Xpby)
 #undef BLAS1_BENCH
+
+/// One CG iteration on a 224^2 5-point operator in ELL at 1 thread: the
+/// kernel-by-kernel sequence (xpby, spmv, dot, axpy, axpy, dot) against the
+/// two fused passes (spmv_columns with the direction update and p·w, then
+/// cg_calc_ur). Fixed small alpha and beta keep the vectors bounded over any
+/// number of repetitions, so the timing never meets subnormals.
+template <class ES, class SS, class VS, bool Fused>
+void BM_CgIteration(benchmark::State& state) {
+  using PM = EllFormat::protected_matrix<std::uint32_t, ES, SS>;
+  struct Fixture {
+    PM a;
+    ProtectedVector<VS> u, r, p, w;
+    std::vector<double> partials;
+    Fixture() {
+      constexpr std::size_t kCgGrid = 224;
+      const auto csr = sparse::laplacian_2d(kCgGrid, kCgGrid);
+      a = PM::from_plain(EllFormat::make_plain<std::uint32_t, ES>(csr));
+      const std::size_t n = csr.nrows();
+      u = ProtectedVector<VS>(n);
+      r = ProtectedVector<VS>(n);
+      p = ProtectedVector<VS>(n);
+      w = ProtectedVector<VS>(n);
+      Xoshiro256 rng(5);
+      for (std::size_t i = 0; i < n; ++i) r.store(i, rng.uniform(-1, 1));
+      copy(r, p);
+      partials.resize(reduction_partials(r));
+    }
+  };
+  static Fixture f;
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+#endif
+  constexpr double kAlpha = 1e-9, kBeta = 0.5;
+  for (auto _ : state) {
+    double pw = 0.0, rr = 0.0;
+    if constexpr (Fused) {
+      const SpmvColumn<VS> col{&f.p, &f.w, &f.r, kBeta, &pw, f.partials};
+      spmv_columns(f.a, std::span<const SpmvColumn<VS>>(&col, 1), CheckMode::full);
+      rr = cg_calc_ur(kAlpha, f.p, f.w, f.u, f.r, f.partials);
+    } else {
+      xpby(f.r, kBeta, f.p);
+      spmv(f.a, f.p, f.w);
+      pw = dot(f.p, f.w);
+      axpy(kAlpha, f.p, f.u);
+      axpy(-kAlpha, f.w, f.r);
+      rr = dot(f.r, f.r);
+    }
+    benchmark::DoNotOptimize(pw);
+    benchmark::DoNotOptimize(rr);
+    benchmark::ClobberMemory();
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * f.r.size()));
+}
+
+#define CG_ITERATION_BENCH(name, ES, SS, VS)                      \
+  BENCHMARK(BM_CgIteration<ES, SS, VS, false>)                   \
+      ->Name("BM_CgIteration/" name "/unfused")                  \
+      ->Unit(benchmark::kMicrosecond);                           \
+  BENCHMARK(BM_CgIteration<ES, SS, VS, true>)                    \
+      ->Name("BM_CgIteration/" name "/fused")                    \
+      ->Unit(benchmark::kMicrosecond);
+
+CG_ITERATION_BENCH("none", ElemNone, schemes::StructNone<std::uint32_t>, VecNone)
+CG_ITERATION_BENCH("crc32c", ElemCrc32cTile, schemes::StructCrc32c<std::uint32_t>, VecCrc32c)
+#undef CG_ITERATION_BENCH
 
 /// GroupReader ablation: sequential scans through a CRC-grouped vector with
 /// different cache sizes — Slots=1 thrashes under the 5-point stencil's

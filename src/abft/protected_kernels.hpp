@@ -23,6 +23,16 @@
 /// ProtectedSell (which also holds ELL) at either index width — and any
 /// future format that supplies a cursor.
 ///
+/// Reductions have one order everywhere: partials of kReduceLen (64)
+/// elements, each summed serially in index order, folded in index order
+/// (product_partials / fold). dot(), the x·y an SpMV pass can add per chunk,
+/// and cg_calc_ur()'s r·r all use it, so a fused dot equals dot() on the
+/// stored vectors bit for bit, at every thread count and in every format.
+///
+/// CG runs each iteration as two fused passes, after TeaLeaf's cg_calc_p /
+/// cg_calc_w / cg_calc_ur: spmv_columns() with a column's optional direction
+/// update (p = r + beta p, ahead of the product) and x·y, then cg_calc_ur().
+///
 /// Error handling: outcomes are collected per operand in ErrorCaptures
 /// during the OpenMP region and committed afterwards to each operand's own
 /// FaultLog / DuePolicy (logging + optional UncorrectableError /
@@ -102,7 +112,7 @@ using Block = double[kVecRunGroups * VS::kGroup];
 /// each failed group then goes through decode_group, which repairs it in
 /// place, and its outcome is recorded in \p capture. Afterwards the logical
 /// values of every group are its masked storage (VS::mask) — the
-/// verify-then-masked-read contract of verify_x_pass, with no buffer to fill.
+/// verify-then-masked-read contract of x_pass, with no buffer to fill.
 template <class VS>
 void check_block(ProtectedVector<VS>& v, std::size_t g0, std::size_t n,
                  ErrorCapture& capture) noexcept {
@@ -152,6 +162,66 @@ void for_each_block(std::size_t ngroups, const Body& body) {
   }
 }
 
+/// Elements per reduction partial: one SpMV chunk's rows.
+inline constexpr std::size_t kReduceLen = kSpmvChunkRows;
+/// Partials the reduction helper sums side by side.
+inline constexpr std::size_t kReduceLanes = 4;
+
+/// partials[q] = the serial, index-order sum of mask(a[e]) * mask(b[e]) over
+/// e in [q * kReduceLen, (q + 1) * kReduceLen) ∩ [0, n): the one reduction
+/// order of the library. kReduceLanes partials are summed side by side —
+/// their chains are independent, so the adds overlap while each partial keeps
+/// its serial order.
+template <class VS>
+void product_partials(const double* a, const double* b, std::size_t n,
+                      double* partials) noexcept {
+  constexpr std::size_t L = kReduceLen;
+  std::size_t q = 0;
+  for (; (q + kReduceLanes) * L <= n; q += kReduceLanes) {
+    double acc[kReduceLanes] = {};
+    for (std::size_t e = 0; e < L; ++e) {
+      for (std::size_t k = 0; k < kReduceLanes; ++k) {
+        acc[k] += VS::mask(a[(q + k) * L + e]) * VS::mask(b[(q + k) * L + e]);
+      }
+    }
+    std::copy_n(acc, kReduceLanes, partials + q);
+  }
+  for (; q * L < n; ++q) {
+    double acc = 0.0;
+    for (std::size_t e = q * L; e < std::min((q + 1) * L, n); ++e) {
+      acc += VS::mask(a[e]) * VS::mask(b[e]);
+    }
+    partials[q] = acc;
+  }
+}
+
+/// The partials folded serially in index order.
+[[nodiscard]] inline double fold(std::span<const double> partials) noexcept {
+  double sum = 0.0;
+  for (const double p : partials) sum += p;
+  return sum;
+}
+
+/// Run `body(g0, n)` for every reduction span (kReduceLanes whole partials)
+/// of an \p ngroups-group vector pass, thread-parallel over static spans.
+template <class VS, class Body>
+void for_each_span(std::size_t ngroups, const Body& body) {
+  constexpr std::size_t S = kReduceLanes * kReduceLen / VS::kGroup;
+  const std::size_t nspans = (ngroups + S - 1) / S;
+#pragma omp parallel for schedule(static)
+  for (std::int64_t si = 0; si < static_cast<std::int64_t>(nspans); ++si) {
+    const std::size_t g0 = static_cast<std::size_t>(si) * S;
+    body(g0, std::min(S, ngroups - g0));
+  }
+}
+
+/// Run `f(g0, n)` over the blocks of kVecRunGroups groups that make up the
+/// \p n groups from \p g0 (a span, for the run codec).
+template <class F>
+void for_each_run(std::size_t g0, std::size_t n, const F& f) {
+  for (std::size_t s = 0; s < n; s += kVecRunGroups) f(g0 + s, std::min(kVecRunGroups, n - s));
+}
+
 /// The one element-wise BLAS-1 pass: out[i] = f(in[i]...). Per block, each
 /// input is checked with one check-only run call into its own capture, f
 /// runs on the masked storage into a block buffer, and out's block is
@@ -181,34 +251,51 @@ void map(ProtectedVector<VS>& out, const F& f, In&... in) {
 }
 
 /// Verify every codeword group of \p x exactly once, correcting in place and
-/// recording into x's \p capture, which the whole team shares (its counters
-/// add and its exemplars take the minimum, so the result is independent of
-/// the thread split, as in dot()). Must be reached by every thread of the
-/// enclosing parallel region: the orphaned worksharing loop
-/// splits the groups in static blocks, one check-only run call each, and its
-/// implicit barrier guarantees no thread gathers from x before x is clean.
-/// Each group has exactly one verifier, so x's check count is x.groups() and
-/// each fault is reported once at every thread count.
+/// recording into x's \p cx, which the whole team shares (its counters add
+/// and its exemplars take the minimum, so the result is independent of the
+/// thread split). With \p r set it is TeaLeaf's cg_calc_p as well: per block,
+/// r's and x's groups are checked once each (r's into \p cr), x = r + beta x
+/// is computed on the masked values — xpby(r, beta, x)'s bits — and encoded
+/// with one run call. Must be reached by every thread of the enclosing
+/// parallel region: the orphaned worksharing loop splits the groups in
+/// static blocks, and its implicit barrier guarantees no thread gathers from
+/// x before x is clean (and updated). Each group has exactly one verifier, so
+/// x's check count (and r's) is x.groups() and each fault is reported once
+/// at every thread count.
 template <class VS>
-void verify_x_pass(ProtectedVector<VS>& x, ErrorCapture& capture) {
-  if constexpr (VS::kScheme != ecc::Scheme::none) {
-    const std::size_t ngroups = x.groups();
+void x_pass(ProtectedVector<VS>& x, ErrorCapture& cx, ProtectedVector<VS>* r, double beta,
+            ErrorCapture& cr) {
+  constexpr std::size_t G = VS::kGroup;
+  if (VS::kScheme == ecc::Scheme::none && r == nullptr) return;
+  const std::size_t ngroups = x.groups();
 #pragma omp for schedule(static)
-    for (std::int64_t bi = 0; bi < static_cast<std::int64_t>(blocks(ngroups)); ++bi) {
-      const std::size_t g0 = static_cast<std::size_t>(bi) * kVecRunGroups;
-      const std::size_t n = std::min(kVecRunGroups, ngroups - g0);
-      check_block(x, g0, n, capture);
-      capture.add_checks(n);
+  for (std::int64_t bi = 0; bi < static_cast<std::int64_t>(blocks(ngroups)); ++bi) {
+    const std::size_t g0 = static_cast<std::size_t>(bi) * kVecRunGroups;
+    const std::size_t n = std::min(kVecRunGroups, ngroups - g0);
+    cx.add_checks(n);
+    if (r == nullptr) {
+      check_block(x, g0, n, cx);
+      continue;
     }
+    check_block(*r, g0, n, cr);
+    check_block(x, g0, n, cx);
+    cr.add_checks(n);
+    Block<VS> buf;
+    double* const o = write_block(x, g0, buf);
+    const double* const vr = r->data() + g0 * G;
+    const double* const vx = x.data() + g0 * G;
+#pragma omp simd
+    for (std::size_t e = 0; e < n * G; ++e) o[e] = VS::mask(vr[e]) + beta * VS::mask(vx[e]);
+    encode_block(x, g0, n, o);
   }
 }
 
 /// One kSpmvChunkRows-row chunk \p ci of y = A x: the cursor's row sums,
 /// encoded into y's codeword groups with one run call (a chunk holds whole
 /// groups, so no two chunks write the same codeword).
-template <class VS, class Cursor, class XLoad>
+template <class VS, class Cursor>
 void spmv_chunk(Cursor& cursor, std::size_t ci, std::size_t nrows, std::size_t ngroups,
-                CheckMode mode, const XLoad& xload, double* y) {
+                CheckMode mode, const double* x, double* y) {
   constexpr std::size_t G = VS::kGroup;
   // SELL's chunk-local scatter assumes chunks stay at the shared granularity;
   // every current vector-group size (1/2/4) divides it.
@@ -219,7 +306,7 @@ void spmv_chunk(Cursor& cursor, std::size_t ci, std::size_t nrows, std::size_t n
   const std::size_t g0 = row0 / G;
   const std::size_t n = std::min(kSpmvChunkRows / G, ngroups - g0);
   double sums[kSpmvChunkRows];
-  cursor.accumulate(row0, count, mode, xload,
+  cursor.accumulate(row0, count, mode, MaskedXLoad<VS>{x},
                     [&](std::size_t i, double v) { sums[i] = v; });
   std::fill(sums + count, sums + n * G, 0.0);  // group-padding rows
   VS::encode_run(sums, y + g0 * G, n);
@@ -227,74 +314,109 @@ void spmv_chunk(Cursor& cursor, std::size_t ci, std::size_t nrows, std::size_t n
 
 }  // namespace detail
 
-/// One column of an SpMV pass: y = A * x over protected vectors.
+/// One column of an SpMV pass: y = A * x over protected vectors, with two
+/// optional CG fusions.
 template <class VS>
 struct SpmvColumn {
   ProtectedVector<VS>* x;
   ProtectedVector<VS>* y;
+  /// When set, x = r + beta * x runs ahead of the product (r's checks and
+  /// faults go to r's own log). r must not alias x or y.
+  ProtectedVector<VS>* r = nullptr;
+  double beta = 0.0;
+  /// When set, *xy = dot(x, y) on the pass's stored vectors, bit for bit;
+  /// \p partials (one slot per kSpmvChunkRows rows) is its scratch.
+  double* xy = nullptr;
+  std::span<double> partials = {};
 };
 
 /// The one SpMV pass driver: y_j = A * x_j for every listed column, in a
 /// single parallel region that spmv() (one column) and spmm() (the active
 /// columns of a batch) both run through.
 ///
-/// Every x_j is verified once per pass by verify_x_pass, recording straight
-/// into that column's own ErrorCapture (committed to x_j's FaultLog /
-/// DuePolicy, so each column's log matches its independent spmv()'s
-/// bit-for-bit). Then, per 64-row chunk, the *first* listed column runs at
-/// \p mode and the rest stream the same chunk in CheckMode::bounds_only —
-/// see spmm() for why that charges the matrix exactly one pass. The column
-/// order is the caller's, so which column carries the full pass is a pure
-/// function of the list, never of threading.
+/// Every x_j is verified once per pass by the x pre-pass (x_pass), recording
+/// straight into that column's own ErrorCapture (committed to x_j's FaultLog
+/// / DuePolicy, so each column's log matches its independent spmv()'s
+/// bit-for-bit); a column's r, when set, is checked there too and x_j
+/// updated before any row reads it. Then, per 64-row chunk, the *first*
+/// listed column runs at \p mode and the rest stream the same chunk in
+/// CheckMode::bounds_only — see spmm() for why that charges the matrix
+/// exactly one pass. The column order is the caller's, so which column
+/// carries the full pass is a pure function of the list, never of threading.
+/// Outcomes commit matrix first, then per column r before x (xpby's order).
 template <ProtectedMatrixType PM, class VS>
 void spmv_columns(PM& a, std::span<const SpmvColumn<VS>> cols, CheckMode mode) {
+  const std::size_t nrows = a.nrows();
+  const std::size_t nchunks = (nrows + detail::kSpmvChunkRows - 1) / detail::kSpmvChunkRows;
   for (const auto& c : cols) {
-    if (c.x->size() != a.ncols() || c.y->size() != a.nrows()) {
+    if (c.x->size() != a.ncols() || c.y->size() != nrows ||
+        (c.r != nullptr && c.r->size() != c.x->size()) ||
+        (c.xy != nullptr && (c.x->size() != nrows || c.partials.size() < nchunks))) {
       throw std::invalid_argument("spmv: dimension mismatch");
     }
   }
   if (cols.empty()) return;
-  const std::size_t nrows = a.nrows();
-  const std::size_t nchunks = (nrows + detail::kSpmvChunkRows - 1) / detail::kSpmvChunkRows;
   ErrorCapture capture;  // matrix-region outcomes — one full pass's worth
-  // One x capture per column (ErrorCapture is pinned, so sized once); the
-  // lone column of spmv() needs no heap.
-  ErrorCapture x_single;
-  std::vector<ErrorCapture> x_many(cols.size() > 1 ? cols.size() : 0);
-  ErrorCapture* const x_captures = cols.size() > 1 ? x_many.data() : &x_single;
+  // Per column an x and an r capture (ErrorCapture is pinned, so sized once);
+  // the lone column of spmv() needs no heap.
+  std::array<ErrorCapture, 2> single;
+  std::vector<ErrorCapture> many(cols.size() > 1 ? 2 * cols.size() : 0);
+  ErrorCapture* const x_captures = cols.size() > 1 ? many.data() : single.data();
+  ErrorCapture* const r_captures = x_captures + cols.size();
   // Shared per-pass tile-decode arbitration for slab formats (empty for CSR).
   typename MatrixTraits<PM>::cursor_type::pass_state pass(a);
 
 #pragma omp parallel
   {
     for (std::size_t j = 0; j < cols.size(); ++j) {
-      detail::verify_x_pass(*cols[j].x, x_captures[j]);
+      detail::x_pass(*cols[j].x, x_captures[j], cols[j].r, cols[j].beta, r_captures[j]);
     }
     ErrorCapture local;  // this thread's matrix outcomes
     {
       typename MatrixTraits<PM>::cursor_type cursor(a, &local, &pass);
 
+      // Work is shared in spans of kReduceLanes chunks, so each span's x·y
+      // partials (one per chunk, over the stored x and the just-encoded y in
+      // row order, after any SELL scatter) are summed side by side.
+      constexpr std::size_t kSpan = detail::kReduceLanes;
 #pragma omp for schedule(static)
-      for (std::int64_t ci = 0; ci < static_cast<std::int64_t>(nchunks); ++ci) {
-        // The first column's pass verifies (and corrects) this chunk's
-        // matrix data, which is cache-hot for the guarded streams behind it.
-        for (std::size_t j = 0; j < cols.size(); ++j) {
-          detail::spmv_chunk<VS>(cursor, static_cast<std::size_t>(ci), nrows,
-                                 cols[j].y->groups(), j == 0 ? mode : CheckMode::bounds_only,
-                                 detail::MaskedXLoad<VS>{cols[j].x->data()},
-                                 cols[j].y->data());
+      for (std::int64_t si = 0; si < static_cast<std::int64_t>((nchunks + kSpan - 1) / kSpan);
+           ++si) {
+        const std::size_t c0 = static_cast<std::size_t>(si) * kSpan;
+        const std::size_t c1 = std::min(c0 + kSpan, nchunks);
+        for (std::size_t ci = c0; ci < c1; ++ci) {
+          // The first column's pass verifies (and corrects) this chunk's
+          // matrix data, which is cache-hot for the guarded streams behind it.
+          for (std::size_t j = 0; j < cols.size(); ++j) {
+            detail::spmv_chunk<VS>(cursor, ci, nrows, cols[j].y->groups(),
+                                   j == 0 ? mode : CheckMode::bounds_only, cols[j].x->data(),
+                                   cols[j].y->data());
+          }
+        }
+        const std::size_t row0 = c0 * detail::kSpmvChunkRows;
+        const std::size_t rows = std::min(c1 * detail::kSpmvChunkRows, nrows) - row0;
+        for (const auto& c : cols) {
+          if (c.xy != nullptr) {
+            detail::product_partials<VS>(c.x->data() + row0, c.y->data() + row0, rows,
+                                         c.partials.data() + c0);
+          }
         }
       }
     }  // cursor destructor flushes its check counters
     capture.merge_from(local);
   }
+  for (const auto& c : cols) {
+    if (c.xy != nullptr) *c.xy = detail::fold(c.partials.first(nchunks));
+  }
   // As commit_each: every log is updated before any policy raises.
   capture.commit(a.fault_log(), DuePolicy::record_only);
   for (std::size_t j = 0; j < cols.size(); ++j) {
+    if (cols[j].r != nullptr) r_captures[j].commit(cols[j].r->fault_log(), DuePolicy::record_only);
     x_captures[j].commit(cols[j].x->fault_log(), DuePolicy::record_only);
   }
   capture.commit(nullptr, a.due_policy());
   for (std::size_t j = 0; j < cols.size(); ++j) {
+    if (cols[j].r != nullptr) r_captures[j].commit(nullptr, cols[j].r->due_policy());
     x_captures[j].commit(nullptr, cols[j].x->due_policy());
   }
 }
@@ -376,62 +498,101 @@ void spmm(PM& a, ProtectedMultiVector<VS>& x, ProtectedMultiVector<VS>& y,
   spmv_columns<PM, VS>(a, cols, mode);
 }
 
-/// Dot product of two protected vectors (checks each group once).
+/// Reduction partials covering \p v, one per kReduceLen elements (padding
+/// elements are zero, so covering them changes no sum): the scratch a fused
+/// reduction needs (SpmvColumn::partials, cg_calc_ur). Allocate once per
+/// solve.
+template <class VS>
+[[nodiscard]] std::size_t reduction_partials(const ProtectedVector<VS>& v) noexcept {
+  return (v.groups() * VS::kGroup + detail::kReduceLen - 1) / detail::kReduceLen;
+}
+
+/// Dot product of two protected vectors (checks each group once; dot(x, x)
+/// checks x once, so a fault in x is logged once).
 ///
-/// The reduction is a fixed-order two-level sum: each block of
-/// kVecRunGroups codeword groups is summed serially into one partial, and
-/// the partials are folded serially afterwards. The block an element falls in
-/// — and therefore every rounding step — depends only on its index, so the
-/// result is bit-identical at any thread count (an `omp reduction` combines
-/// per-thread sums in whatever order threads finish). Four blocks are summed
-/// side by side: their chains are independent, so the adds overlap while each
-/// block keeps its serial order.
+/// The reduction is the library's one order (detail::product_partials):
+/// partials of kReduceLen elements, each summed serially, folded serially
+/// afterwards. The partial an element falls in — and therefore every
+/// rounding step — depends only on its index, so the result is bit-identical
+/// at any thread count (an `omp reduction` combines per-thread sums in
+/// whatever order threads finish), and equals the x·y an SpMV pass fuses.
 template <class VS>
 [[nodiscard]] double dot(ProtectedVector<VS>& a, ProtectedVector<VS>& b) {
   if (a.size() != b.size()) throw std::invalid_argument("dot: dimension mismatch");
-  constexpr std::size_t kLanes = 4;
-  constexpr std::size_t kLen = kVecRunGroups * VS::kGroup;  // elements per full block
+  constexpr std::size_t G = VS::kGroup;
+  const bool self = &a == &b;
   const std::size_t ngroups = a.groups();
-  const std::size_t nblocks = detail::blocks(ngroups);
   ErrorCapture ca, cb;
-  std::vector<double> partials(nblocks, 0.0);
-
-#pragma omp parallel for schedule(static)
-  for (std::int64_t qi = 0; qi < static_cast<std::int64_t>((nblocks + kLanes - 1) / kLanes);
-       ++qi) {
-    const std::size_t b0 = static_cast<std::size_t>(qi) * kLanes;
-    const std::size_t bend = std::min(b0 + kLanes, nblocks);
-    for (std::size_t bi = b0; bi < bend; ++bi) {
-      const std::size_t g0 = bi * kVecRunGroups;
-      const std::size_t n = std::min(kVecRunGroups, ngroups - g0);
-      detail::check_block(a, g0, n, ca);
-      detail::check_block(b, g0, n, cb);
-    }
-    const double* const va = a.data() + b0 * kLen;
-    const double* const vb = b.data() + b0 * kLen;
-    if (bend * kVecRunGroups <= ngroups && bend - b0 == kLanes) {
-      double acc[kLanes] = {};
-      for (std::size_t e = 0; e < kLen; ++e) {
-        for (std::size_t k = 0; k < kLanes; ++k) {
-          acc[k] += VS::mask(va[k * kLen + e]) * VS::mask(vb[k * kLen + e]);
-        }
-      }
-      std::copy_n(acc, kLanes, partials.begin() + static_cast<std::ptrdiff_t>(b0));
-    } else {
-      const std::size_t nelems = (std::min(bend * kVecRunGroups, ngroups) - b0 * kVecRunGroups) *
-                                 VS::kGroup;
-      for (std::size_t e = 0; e < nelems; ++e) {
-        partials[b0 + e / kLen] += VS::mask(va[e]) * VS::mask(vb[e]);
-      }
-    }
-  }
-  double sum = 0.0;
-  for (const double p : partials) sum += p;
+  std::vector<double> partials(reduction_partials(a));
+  detail::for_each_span<VS>(ngroups, [&](std::size_t g0, std::size_t n) {
+    detail::for_each_run(g0, n, [&](std::size_t r0, std::size_t m) {
+      detail::check_block(a, r0, m, ca);
+      if (!self) detail::check_block(b, r0, m, cb);
+    });
+    detail::product_partials<VS>(a.data() + g0 * G, b.data() + g0 * G, n * G,
+                                 partials.data() + g0 * G / detail::kReduceLen);
+  });
   ca.add_checks(ngroups);
-  cb.add_checks(ngroups);
-  detail::commit_each({{&ca, a.fault_log(), a.due_policy()},
-                       {&cb, b.fault_log(), b.due_policy()}});
-  return sum;
+  if (self) {
+    detail::commit_each({{&ca, a.fault_log(), a.due_policy()}});
+  } else {
+    cb.add_checks(ngroups);
+    detail::commit_each({{&ca, a.fault_log(), a.due_policy()},
+                         {&cb, b.fault_log(), b.due_policy()}});
+  }
+  return detail::fold(partials);
+}
+
+/// TeaLeaf's cg_calc_ur as one pass: u += alpha * p, r -= alpha * w, and the
+/// new r·r. Per block, p, u, w and r are each checked once (one capture
+/// each, committed in that order, as the two axpy calls did), both updates
+/// run on the masked values — the bits of axpy(alpha, p, u) and
+/// axpy(-alpha, w, r) — and u and r are encoded with one run call each. r·r
+/// is summed in the one reduction order over r's stored, masked values (the
+/// values a later read returns), so it equals dot(r, r) bit for bit.
+/// \p partials needs reduction_partials(r) slots; the four vectors must be
+/// distinct.
+template <class VS>
+[[nodiscard]] double cg_calc_ur(double alpha, ProtectedVector<VS>& p, ProtectedVector<VS>& w,
+                                ProtectedVector<VS>& u, ProtectedVector<VS>& r,
+                                std::span<double> partials) {
+  if (p.size() != w.size() || p.size() != u.size() || p.size() != r.size() ||
+      partials.size() < reduction_partials(r)) {
+    throw std::invalid_argument("cg_calc_ur: dimension mismatch");
+  }
+  constexpr std::size_t G = VS::kGroup;
+  const std::size_t ngroups = r.groups();
+  std::array<ErrorCapture, 4> c;  // p, u, w, r
+  detail::for_each_span<VS>(ngroups, [&](std::size_t g0, std::size_t n) {
+    detail::for_each_run(g0, n, [&](std::size_t b0, std::size_t m) {
+      detail::check_block(p, b0, m, c[0]);
+      detail::check_block(u, b0, m, c[1]);
+      detail::check_block(w, b0, m, c[2]);
+      detail::check_block(r, b0, m, c[3]);
+      detail::Block<VS> ubuf, rbuf;
+      double* const uo = detail::write_block(u, b0, ubuf);
+      double* const ro = detail::write_block(r, b0, rbuf);
+      const double* const vp = p.data() + b0 * G;
+      const double* const vu = u.data() + b0 * G;
+      const double* const vw = w.data() + b0 * G;
+      const double* const vr = r.data() + b0 * G;
+#pragma omp simd
+      for (std::size_t e = 0; e < m * G; ++e) {
+        uo[e] = VS::mask(vu[e]) + alpha * VS::mask(vp[e]);
+        ro[e] = VS::mask(vr[e]) + -alpha * VS::mask(vw[e]);
+      }
+      detail::encode_block(u, b0, m, uo);
+      detail::encode_block(r, b0, m, ro);
+    });
+    const double* const vr = r.data() + g0 * G;
+    detail::product_partials<VS>(vr, vr, n * G, partials.data() + g0 * G / detail::kReduceLen);
+  });
+  for (auto& ci : c) ci.add_checks(ngroups);
+  detail::commit_each({{&c[0], p.fault_log(), p.due_policy()},
+                       {&c[1], u.fault_log(), u.due_policy()},
+                       {&c[2], w.fault_log(), w.due_policy()},
+                       {&c[3], r.fault_log(), r.due_policy()}});
+  return detail::fold(partials.first(reduction_partials(r)));
 }
 
 /// y += alpha * x, one check of each input group and one encode of y.

@@ -19,6 +19,7 @@
 /// tenant's data is logged to — and policed by — that tenant alone.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
@@ -54,17 +55,28 @@ struct CgColumn {
 /// outcome to results[j]. A column stops (converged, or broken down) on its
 /// own and is left out of later passes; the solve runs until every column
 /// has stopped or opts.max_iterations is hit.
+///
+/// Each iteration is two fused passes, after TeaLeaf's cg_calc_p / cg_calc_w
+/// / cg_calc_ur: one spmv_columns() pass that first sets p = r + beta p
+/// (from iteration 2 on; iteration 1's p is the initial r) and then forms
+/// w = A p and p·w, and one cg_calc_ur() pass for u += alpha p, r -= alpha w
+/// and the new r·r. Each column's vectors are checked 6 times a group per
+/// iteration (r and p in the first pass; p, u, w and r in the second), and
+/// the bits are those of the kernel-by-kernel recurrence spmv, dot, axpy,
+/// axpy, dot, xpby.
 template <class Matrix, class VS>
 void cg_lockstep(Matrix& a, std::span<const CgColumn<VS>> cols, const SolveOptions& opts,
                  SolveResult* results) {
   const std::size_t k = cols.size();
   // The solve's bookkeeping lives in a stack arena (spilling to the heap only
   // for wide batches), so a one-column solve puts nothing on the heap but its
-  // three temporaries: small buffers left between them fragmented the heap
-  // and raised the TeaLeaf benchmark's peak RSS by 13%.
+  // three temporaries and one reduction buffer: small buffers left between
+  // them fragmented the heap and raised the TeaLeaf benchmark's peak RSS by
+  // 13%.
   std::array<std::byte, 2048> arena;
   std::pmr::monotonic_buffer_resource mem(arena.data(), arena.size());
-  std::pmr::vector<double> threshold(k, &mem), rr(k, 0.0, &mem);
+  std::pmr::vector<double> threshold(k, &mem), rr(k, 0.0, &mem), beta(k, 0.0, &mem),
+      pw(k, 0.0, &mem);
   std::pmr::vector<SpmvColumn<VS>> pass(&mem);
   pass.reserve(k);
   const auto stopped = [&](std::size_t j) {
@@ -92,9 +104,11 @@ void cg_lockstep(Matrix& a, std::span<const CgColumn<VS>> cols, const SolveOptio
     if (cols[j].history != nullptr) cols[j].history->push_back(results[j].residual_norm);
   };
 
-  // Each system's temporaries, inheriting its log/policy from u.
+  // Each system's temporaries, inheriting its log/policy from u, and its
+  // slice of the one reduction buffer the fused passes share.
   struct Temporaries {
     ProtectedVector<VS> r, p, w;
+    std::span<double> partials;
   };
   std::pmr::vector<Temporaries> tmp(&mem);
   tmp.reserve(k);
@@ -102,8 +116,13 @@ void cg_lockstep(Matrix& a, std::span<const CgColumn<VS>> cols, const SolveOptio
     const std::size_t n = c.u->size();
     tmp.push_back({ProtectedVector<VS>(n, c.u->fault_log(), c.u->due_policy()),
                    ProtectedVector<VS>(n, c.u->fault_log(), c.u->due_policy()),
-                   ProtectedVector<VS>(n, c.u->fault_log(), c.u->due_policy())});
+                   ProtectedVector<VS>(n, c.u->fault_log(), c.u->due_policy()),
+                   {}});
   }
+  std::size_t nslots = 0;
+  for (const auto& t : tmp) nslots = std::max(nslots, reduction_partials(t.r));
+  std::vector<double> partials(k * nslots);
+  for (std::size_t j = 0; j < k; ++j) tmp[j].partials = {partials.data() + j * nslots, nslots};
 
   // Every b's norm first: a fault in b is then committed before the
   // iteration-0 check decision reads the logs.
@@ -127,24 +146,25 @@ void cg_lockstep(Matrix& a, std::span<const CgColumn<VS>> cols, const SolveOptio
 
   for (unsigned iter = 1; iter <= opts.max_iterations && nactive > 0; ++iter) {
     const CheckMode mode = check_mode(iter);
+    // Pass 1: p = r + beta p, w = A p, p·w.
     pass.clear();
     for (std::size_t j = 0; j < k; ++j) {
-      if (!stopped(j)) pass.push_back({&tmp[j].p, &tmp[j].w});
+      if (stopped(j)) continue;
+      Temporaries& t = tmp[j];
+      pass.push_back({&t.p, &t.w, iter > 1 ? &t.r : nullptr, beta[j], &pw[j], t.partials});
     }
     spmv_columns<Matrix, VS>(a, pass, mode);
+    // Pass 2 per column: u += alpha p, r -= alpha w, r·r.
     for (std::size_t j = 0; j < k; ++j) {
       if (stopped(j)) continue;
       SolveResult& res = results[j];
-      const double pw = dot(tmp[j].p, tmp[j].w);
-      if (pw == 0.0 || !std::isfinite(pw)) {  // breakdown (e.g. SDC damage)
+      if (pw[j] == 0.0 || !std::isfinite(pw[j])) {  // breakdown (e.g. SDC damage)
         res.breakdown = true;
         --nactive;
         continue;
       }
-      const double alpha = rr[j] / pw;
-      axpy(alpha, tmp[j].p, *cols[j].u);
-      axpy(-alpha, tmp[j].w, tmp[j].r);
-      const double rr_new = dot(tmp[j].r, tmp[j].r);
+      Temporaries& t = tmp[j];
+      const double rr_new = cg_calc_ur(rr[j] / pw[j], t.p, t.w, *cols[j].u, t.r, t.partials);
       res.iterations = iter;
       record(j, rr_new);
       res.breakdown = !std::isfinite(rr_new);
@@ -153,7 +173,7 @@ void cg_lockstep(Matrix& a, std::span<const CgColumn<VS>> cols, const SolveOptio
         --nactive;
         continue;
       }
-      xpby(tmp[j].r, rr_new / rr[j], tmp[j].p);
+      beta[j] = rr_new / rr[j];
       rr[j] = rr_new;
     }
   }

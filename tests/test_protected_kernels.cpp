@@ -263,6 +263,36 @@ TEST(KernelFaultAttribution, DotLogsCorruptionInTheOperandThatCarriesIt) {
   EXPECT_GE(log_b.checks(), n);
 }
 
+// Regression: dot(x, x) (and so norm2(x)) checked x twice, logging one fault
+// twice and charging 2 * groups() checks.
+TEST(KernelFaultAttribution, SelfDotChecksAndLogsOnce) {
+  const auto self_dot_log = [](auto scheme_tag, std::size_t bit) {
+    using VS = decltype(scheme_tag);
+    const std::size_t n = 1000;
+    FaultLog log;
+    ProtectedVector<VS> x(n, &log, DuePolicy::record_only);
+    fill(x, 1.25);
+    corrupt_vector(x, bit);
+    (void)norm2(x);
+    EXPECT_EQ(log.uncorrectable(), 1u);
+    EXPECT_EQ(log.checks(), x.groups());
+  };
+  self_dot_log(VecSed{}, 13);
+  // Two flips in one CRC32C group: detected, not corrected.
+  const auto crc_two_flips = [] {
+    const std::size_t n = 1000;
+    FaultLog log;
+    ProtectedVector<VecCrc32c> x(n, &log, DuePolicy::record_only);
+    fill(x, 1.25);
+    corrupt_vector(x, 13);
+    corrupt_vector(x, 64 + 29);
+    (void)dot(x, x);
+    EXPECT_EQ(log.uncorrectable(), 1u);
+    EXPECT_EQ(log.checks(), x.groups());
+  };
+  crc_two_flips();
+}
+
 TEST(KernelFaultAttribution, AxpyAndSubAndFmaAttributePerOperand) {
   const std::size_t n = 33;
   {
@@ -719,8 +749,8 @@ void dot_and_axpy_match_per_group_loop(std::size_t n);
 TYPED_TEST(Blas1CodecTest, DotAndAxpyEqualThePerGroupLoopBitForBit) {
   using VS = TypeParam;
   constexpr std::size_t G = VS::kGroup;
-  // Sizes with full runs of four blocks (dot sums four side by side) and
-  // with a partial tail block, at every group size.
+  // Sizes with full runs of four partials (dot sums four side by side) and
+  // with a partial tail, at every group size.
   for (const std::size_t n : {std::size_t{1001}, std::size_t{9 * 256 + 37}}) {
     SCOPED_TRACE(n);
     dot_and_axpy_match_per_group_loop<VS, G>(n);
@@ -739,20 +769,19 @@ void dot_and_axpy_match_per_group_loop(std::size_t n) {
   x.assign(xr);
   y.assign(yr);
   yref.assign(yr);
-  // The per-group loop the kernels used to run: a fixed-order sum over
-  // aligned 64-group blocks, and a decode-update-encode per group.
+  // The per-group loop: the library's one reduction order (serial partials
+  // of 64 elements, folded in index order) over decoded groups, and a
+  // decode-update-encode per group.
   const std::size_t ngroups = x.groups();
-  double sum = 0.0;
-  for (std::size_t g0 = 0; g0 < ngroups; g0 += 64) {
-    double acc = 0.0;
-    for (std::size_t g = g0; g < std::min(g0 + 64, ngroups); ++g) {
-      double vx[G], vy[G];
-      ASSERT_EQ(VS::decode_group(x.data() + g * G, vx), CheckOutcome::ok);
-      ASSERT_EQ(VS::decode_group(yref.data() + g * G, vy), CheckOutcome::ok);
-      for (std::size_t e = 0; e < G; ++e) acc += vx[e] * vy[e];
-    }
-    sum += acc;
+  std::vector<double> partials((ngroups * G + 63) / 64, 0.0);
+  for (std::size_t g = 0; g < ngroups; ++g) {
+    double vx[G], vy[G];
+    ASSERT_EQ(VS::decode_group(x.data() + g * G, vx), CheckOutcome::ok);
+    ASSERT_EQ(VS::decode_group(yref.data() + g * G, vy), CheckOutcome::ok);
+    for (std::size_t e = 0; e < G; ++e) partials[(g * G + e) / 64] += vx[e] * vy[e];
   }
+  double sum = 0.0;
+  for (const double p : partials) sum += p;
   const double got = dot(x, y);
   EXPECT_EQ(std::memcmp(&got, &sum, sizeof sum), 0) << got << " vs " << sum;
   for (std::size_t g = 0; g < ngroups; ++g) {
