@@ -154,6 +154,49 @@ BENCHMARK_CAPTURE(vec_crc_decode_bench, group_hw, false, CrcImpl::hardware)
 BENCHMARK_CAPTURE(vec_crc_decode_bench, run_hw, true, CrcImpl::hardware)
     ->Name("BM_VecCrc32cDecode/run/hw");
 
+/// ElemCrc32c's row codewords over one C = 16 slab block of clean rows, each
+/// `width` slots wide, in ns per slot at the process's auto-detected CRC32C
+/// kernel: `per_row` decodes the rows one decode_row call each (the one-row
+/// form), `run` checks the block with one check_rows call (the SELL cursor's
+/// and verify_all's form).
+void row_crc_check_bench(benchmark::State& state, bool run) {
+  using ES = schemes::ElemCrc32c<std::uint32_t>;
+  constexpr std::size_t kC = 16;
+  const std::size_t width = static_cast<std::size_t>(state.range(0));
+  Xoshiro256 rng(9);
+  std::vector<double> values(kC * width);
+  std::vector<std::uint32_t> cols(kC * width);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = rng.uniform(-1, 1);
+    cols[i] = static_cast<std::uint32_t>(rng()) & ES::kColMask;
+  }
+  ES::encode_rows(values.data(), cols.data(), kC, width, kC);
+  for (auto _ : state) {
+    if (run) {
+      benchmark::DoNotOptimize(ES::check_rows(values.data(), cols.data(), kC, width, kC));
+    } else {
+      for (std::size_t k = 0; k < kC; ++k) {
+        benchmark::DoNotOptimize(ES::decode_row(values.data() + k, cols.data() + k, width, kC));
+      }
+    }
+    benchmark::ClobberMemory();
+  }
+  state.counters["ns_per_slot"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kC * width) * 1e-9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+BENCHMARK_CAPTURE(row_crc_check_bench, per_row, false)
+    ->Name("BM_RowCrcCheck/per_row")
+    ->Arg(8)
+    ->Arg(64)
+    ->Arg(256);
+BENCHMARK_CAPTURE(row_crc_check_bench, run, true)
+    ->Name("BM_RowCrcCheck/run")
+    ->Arg(8)
+    ->Arg(64)
+    ->Arg(256);
+
 /// Batch clean-codeword predicates (the slab SpMV fast path) at a forced
 /// implementation: `scalar` is the plain loop, `vector` the AVX2 kernel
 /// (skipped with a notice when the CPU lacks AVX2). Both return the same

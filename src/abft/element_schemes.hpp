@@ -24,15 +24,18 @@
 /// 32-bit aliases, `abft::Elem64Sed` etc. the 64-bit ones.
 ///
 /// Per-element schemes expose decode(); the row-granular CRC exposes
-/// encode_row()/decode_row(). The ProtectedCsr container dispatches with
-/// `if constexpr (Scheme::kRowGranular)`.
+/// check_rows()/encode_rows() over runs of rows and encode_row()/decode_row()
+/// for one. The containers dispatch with `if constexpr (Scheme::kRowGranular)`.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <new>
 #include <type_traits>
 
 #include "abft/tile_geometry.hpp"
@@ -144,6 +147,12 @@ struct ElemSecded {
 /// CRC32C over a whole CSR row (Fig. 1c): the checksum of the row's
 /// (value, masked column) stream is split one byte into the top byte of each
 /// of the first four elements' column indices.
+///
+/// Slab rows are checked and encoded in runs of up to 64 (ecc::crc32c_rows,
+/// one dispatched call per run): a block of rows with a common width.
+/// check_rows() only reports which rows fail; a failed row goes through
+/// decode_row(), which repairs it. encode_row()/decode_row() are one-row
+/// runs, which is how CSR rows go.
 template <class Index>
 struct ElemCrc32c {
   static_assert(kValidIndex<Index>);
@@ -157,21 +166,52 @@ struct ElemCrc32c {
 
   /// Bytes of codeword per element (8 value bytes + the masked column).
   static constexpr std::size_t kBytesPerElement = 8 + sizeof(Index);
+  /// Most rows one run holds (one bit each in the check mask).
+  static constexpr std::size_t kMaxRunRows = 64;
+
+  /// Check-only run over \p rows (at most 64) rows of a column-major slab
+  /// block: row k's e-th slot lives at values[k + e*stride] /
+  /// cols[k + e*stride], every row \p width slots wide. Bit k of the result
+  /// is set when row k's stored checksum differs from the recomputed one.
+  /// Nothing is written.
+  [[nodiscard]] static std::uint64_t check_rows(const double* values, const Index* cols,
+                                                std::size_t rows, std::size_t width,
+                                                std::size_t stride) noexcept {
+    const RowRun run{values, cols, kColMask, rows, stride, width};
+    std::uint32_t crcs[kMaxRunRows];
+    ecc::crc32c_rows(run, crcs);
+    std::uint64_t bad = 0;
+    for (std::size_t k = 0; k < rows; ++k) {
+      bad |= static_cast<std::uint64_t>(crcs[k] != stored_crc(run, k)) << k;
+    }
+    return bad;
+  }
+
+  /// Encode the slab-block rows check_rows(values, cols, rows, width, stride)
+  /// checks: mask every column and store each row's checksum bytes.
+  static void encode_rows(double* values, Index* cols, std::size_t rows, std::size_t width,
+                          std::size_t stride) noexcept {
+    std::uint32_t crcs[kMaxRunRows];
+    ecc::crc32c_rows({values, cols, kColMask, rows, stride, width}, crcs);
+    for (std::size_t k = 0; k < rows; ++k) {
+      for (std::size_t e = 0; e < width; ++e) {
+        Index& c = cols[k + e * stride];
+        c &= kColMask;
+        if (e < 4) {
+          c |= static_cast<Index>(static_cast<Index>((crcs[k] >> (8 * e)) & 0xFF) << kColBits);
+        }
+      }
+    }
+  }
 
   /// Encode one row of \p nnz elements whose e-th slot lives at
   /// values[e*stride] / cols[e*stride]. CSR rows are contiguous (stride 1);
-  /// column-major ELL rows are strided by nrows — the codeword layout is the
-  /// same either way, so both formats share one CRC scheme.
+  /// column-major ELL/SELL rows are strided by the slice height — the
+  /// codeword layout is the same either way, so every format shares one CRC
+  /// scheme.
   static void encode_row(double* values, Index* cols, std::size_t nnz,
                          std::size_t stride = 1) noexcept {
-    const std::uint32_t crc = row_crc(values, cols, nnz, stride);
-    for (std::size_t e = 0; e < nnz; ++e) {
-      cols[e * stride] &= kColMask;
-      if (e < 4) {
-        cols[e * stride] |= static_cast<Index>(
-            static_cast<Index>((crc >> (8 * e)) & 0xFF) << kColBits);
-      }
-    }
+    encode_rows(values, cols, 1, nnz, stride);
   }
 
   /// Verify (and on mismatch brute-force correct) one row in place. Column
@@ -179,17 +219,29 @@ struct ElemCrc32c {
   [[nodiscard]] static CheckOutcome decode_row(double* values, Index* cols,
                                                std::size_t nnz,
                                                std::size_t stride = 1) noexcept {
-    const std::uint32_t actual = row_crc(values, cols, nnz, stride);
-    std::uint32_t stored = 0;
-    for (std::size_t e = 0; e < 4 && e < nnz; ++e) {
-      stored |= static_cast<std::uint32_t>(cols[e * stride] >> kColBits) << (8 * e);
-    }
+    const RowRun run{values, cols, kColMask, 1, stride, nnz};
+    std::uint32_t actual;
+    ecc::crc32c_rows(run, &actual);
+    const std::uint32_t stored = stored_crc(run, 0);
     if (actual == stored) return CheckOutcome::ok;
     return correct_row(values, cols, nnz, stride, stored) ? CheckOutcome::corrected
                                                           : CheckOutcome::uncorrectable;
   }
 
  private:
+  using RowRun = ecc::CrcRowRun<Index>;
+
+  /// The checksum row \p k of \p run stores in its first four columns' top
+  /// bytes (fewer on a row shorter than four).
+  [[nodiscard]] static std::uint32_t stored_crc(const RowRun& run, std::size_t k) noexcept {
+    const std::size_t n = std::min<std::size_t>(4, run.width);
+    std::uint32_t stored = 0;
+    for (std::size_t e = 0; e < n; ++e) {
+      stored |= static_cast<std::uint32_t>(run.cols[k + e * run.stride] >> kColBits) << (8 * e);
+    }
+    return stored;
+  }
+
   static void pack_row(const double* values, const Index* cols, std::size_t nnz,
                        std::size_t stride, std::uint8_t* buffer) noexcept {
     for (std::size_t e = 0; e < nnz; ++e) {
@@ -200,39 +252,17 @@ struct ElemCrc32c {
     }
   }
 
-  [[nodiscard]] static std::uint32_t row_crc(const double* values, const Index* cols,
-                                             std::size_t nnz,
-                                             std::size_t stride) noexcept {
-    // Assemble the row codeword contiguously and checksum it in one pass —
-    // one CRC call per row instead of two per element keeps the hardware
-    // path's advantage (the crc32 instruction pipelines across the buffer).
-    constexpr std::size_t kStackElements = 64;
-    if (nnz <= kStackElements) [[likely]] {
-      std::uint8_t buffer[kStackElements * kBytesPerElement];
-      pack_row(values, cols, nnz, stride, buffer);
-      return ecc::crc32c(buffer, nnz * kBytesPerElement);
-    }
-    ecc::Crc32cAccumulator acc;
-    for (std::size_t e = 0; e < nnz; ++e) {
-      acc.update_u64(double_to_bits(values[e * stride]));
-      const Index c = cols[e * stride] & kColMask;
-      acc.update(&c, sizeof(Index));
-    }
-    return acc.value();
-  }
-
-  /// Cold recovery path: assemble the row codeword into a byte buffer and try
-  /// single-bit flips (plus the flip-in-stored-checksum case).
-  [[nodiscard]] static bool correct_row(double* values, Index* cols, std::size_t nnz,
-                                        std::size_t stride,
-                                        std::uint32_t stored) noexcept {
-    constexpr std::size_t kMaxRowBytes = 6144;  // stack buffer bound
-    constexpr std::size_t kMaxRow = kMaxRowBytes / kBytesPerElement;
-    if (nnz > kMaxRow) return false;
-    std::uint8_t buffer[kMaxRow * kBytesPerElement];
-    pack_row(values, cols, nnz, stride, buffer);
-    const auto res =
-        ecc::crc32c_correct_single_bit({buffer, nnz * kBytesPerElement}, stored);
+  /// Cold recovery path: assemble the row codeword into a heap buffer (a
+  /// failed allocation reports uncorrectable) and try single-bit flips (plus
+  /// the flip-in-stored-checksum case). noinline, like correct_tile.
+  [[nodiscard]] __attribute__((noinline)) static bool correct_row(
+      double* values, Index* cols, std::size_t nnz, std::size_t stride,
+      std::uint32_t stored) noexcept {
+    const std::size_t bytes = nnz * kBytesPerElement;
+    const std::unique_ptr<std::uint8_t[]> buffer(new (std::nothrow) std::uint8_t[bytes]);
+    if (buffer == nullptr) return false;
+    pack_row(values, cols, nnz, stride, buffer.get());
+    const auto res = ecc::crc32c_correct_single_bit({buffer.get(), bytes}, stored);
     if (!res.corrected) return false;
 
     if (res.flipped_bit < 0) {
@@ -241,13 +271,13 @@ struct ElemCrc32c {
       encode_row(values, cols, nnz, stride);
       return true;
     }
-    // Write the repaired element back and refresh the stored checksum bytes
-    // (unchanged, but cheap and keeps the path simple).
+    // Write the repaired element back; its stored checksum byte, if any, is
+    // unchanged.
     const std::size_t e = static_cast<std::size_t>(res.flipped_bit) / (8 * kBytesPerElement);
     std::uint64_t vbits = 0;
     Index c = 0;
-    std::memcpy(&vbits, buffer + e * kBytesPerElement, 8);
-    std::memcpy(&c, buffer + e * kBytesPerElement + 8, sizeof(Index));
+    std::memcpy(&vbits, buffer.get() + e * kBytesPerElement, 8);
+    std::memcpy(&c, buffer.get() + e * kBytesPerElement + 8, sizeof(Index));
     values[e * stride] = bits_to_double(vbits);
     cols[e * stride] = (cols[e * stride] & ~kColMask) | (c & kColMask);
     return true;

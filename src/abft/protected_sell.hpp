@@ -35,6 +35,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -243,10 +244,8 @@ class ProtectedSell {
             }
             if constexpr (ES::kRowGranular) {
               // A row codeword only touches slots of its own stored row.
-              for (std::size_t k = 0; k < rows; ++k) {
-                ES::encode_row(p.values_.data() + base + k, p.cols_.data() + base + k,
-                               width, p.slice_);
-              }
+              ES::encode_rows(p.values_.data() + base, p.cols_.data() + base, rows, width,
+                              p.slice_);
             }
           });
     }
@@ -434,14 +433,17 @@ class ProtectedSell {
                                 tile_geom_.tile_slots(t, values_.size())));
       }
     } else if constexpr (ES::kRowGranular) {
-      for (std::size_t s = 0; s < nslices_; ++s) {
-        const std::size_t base = slice_ptr_[s];
-        const std::size_t width = derived_width(s);
-        for (std::size_t e = 0; e < slice_; ++e) {
-          note(s * slice_ + e, ES::decode_row(values_.data() + base + e,
-                                              cols_.data() + base + e, width, slice_));
+      // Runs of up to 64 stored rows: clean rows are counted in bulk, and
+      // only failed ones go through the repairing decode and the log.
+      for_each_row_run([&](std::size_t s, std::size_t e0, std::size_t rows, std::size_t width,
+                           std::uint64_t bad) {
+        tally.clean(log, rows - static_cast<std::size_t>(std::popcount(bad)));
+        for (; bad != 0; bad &= bad - 1) {
+          const std::size_t e = e0 + static_cast<std::size_t>(std::countr_zero(bad));
+          note(s * slice_ + e, ES::decode_row(values_.data() + slice_ptr_[s] + e,
+                                              cols_.data() + slice_ptr_[s] + e, width, slice_));
         }
-      }
+      });
     } else {
       for (std::size_t k = 0; k < values_.size(); ++k) {
         double v;
@@ -505,16 +507,24 @@ class ProtectedSell {
                       t);
       }
     }
+    if constexpr (ES::kRowGranular) {
+      // Check in runs; a failed row is repaired before the copy below.
+      for_each_row_run([&](std::size_t s, std::size_t e0, std::size_t rows, std::size_t width,
+                           std::uint64_t bad) {
+        for (std::size_t e = e0; e < e0 + rows; ++e) {
+          account_check(log_, policy_, Region::sell_values,
+                        (bad >> (e - e0)) & 1
+                            ? ES::decode_row(values_.data() + slice_ptr_[s] + e,
+                                             cols_.data() + slice_ptr_[s] + e, width, slice_)
+                            : CheckOutcome::ok,
+                        s * slice_ + e);
+        }
+      });
+    }
     for (std::size_t s = 0; s < nslices_; ++s) {
       const std::size_t base = slice_ptr_[s];
       const std::size_t width = derived_width(s);
       for (std::size_t e = 0; e < slice_; ++e) {
-        if constexpr (ES::kRowGranular) {
-          account_check(log_, policy_, Region::sell_values,
-                        ES::decode_row(values_.data() + base + e, cols_.data() + base + e,
-                                       width, slice_),
-                        s * slice_ + e);
-        }
         for (std::size_t j = 0; j < width; ++j) {
           const std::size_t k = base + j * slice_ + e;
           if constexpr (ES::kRowGranular || ES::kTileGranular) {
@@ -538,6 +548,24 @@ class ProtectedSell {
   [[nodiscard]] plain_type to_plain() { return to_sell(); }
 
  private:
+  /// Check every stored row codeword in runs of up to 64 rows of one slice
+  /// (derived widths) and call `body(s, e0, rows, width, bad)` per run:
+  /// rows [e0, e0 + rows) of slice s, bad the failed-row mask.
+  template <class Body>
+  void for_each_row_run(Body&& body) {
+    constexpr std::size_t kRun = ES::kMaxRunRows;
+    for (std::size_t s = 0; s < nslices_; ++s) {
+      const std::size_t base = slice_ptr_[s];
+      const std::size_t width = derived_width(s);
+      for (std::size_t e0 = 0; e0 < slice_; e0 += kRun) {
+        const std::size_t rows = std::min(kRun, slice_ - e0);
+        body(s, e0, rows, width,
+             ES::check_rows(values_.data() + base + e0, cols_.data() + base + e0, rows, width,
+                            slice_));
+      }
+    }
+  }
+
   /// Stored position of original row \p r (r itself under sigma = 1), or
   /// kNoPos (with a logged bounds violation) when the derived inverse
   /// permutation and the protected permutation disagree.
@@ -592,9 +620,8 @@ class ProtectedSell {
 /// (sigma > 1); the block-local permutation contract (see ProtectedSell)
 /// keeps every target inside the segment, and a corrupt permutation entry
 /// degrades to a zeroed row, never a missing or out-of-range store. The
-/// row-granular CRC scheme forces a strided per-row decode first; that is the
-/// price of a row codeword in a column-major layout and shows up honestly in
-/// the benches.
+/// row-granular CRC scheme checks the block's rows first as one interleaved
+/// run, slot by slot across the rows, so its reads are unit-stride too.
 template <class Index, class ES, class SS>
 class SellRowCursor {
  public:
@@ -727,15 +754,18 @@ class SellRowCursor {
       max_rl = std::max<std::size_t>(max_rl, rl[k]);
       min_rl = std::min<std::size_t>(min_rl, rl[k]);
     }
-    // Row-granular element scheme: verify each stored row codeword once up
-    // front; reads below then mask, exactly as in the CSR row loop.
+    // Row-granular element scheme: check the block's row codewords as one
+    // run (slot j of its rows is contiguous), then repair and record only
+    // the failed rows; reads below then mask, exactly as in the CSR row loop.
     if constexpr (ES::kRowGranular) {
       if (mode == CheckMode::full) {
-        for (std::size_t k = 0; k < rows; ++k) {
-          const auto outcome =
-              ES::decode_row(values_ + base + k, cols_ + base + k, true_width, c);
-          ++checks_;
-          capture_->record(Region::sell_values, outcome, i + k);
+        std::uint64_t bad = ES::check_rows(values_ + base, cols_ + base, rows, true_width, c);
+        checks_ += rows;
+        for (; bad != 0; bad &= bad - 1) {
+          const std::size_t k = static_cast<std::size_t>(std::countr_zero(bad));
+          capture_->record(Region::sell_values,
+                           ES::decode_row(values_ + base + k, cols_ + base + k, true_width, c),
+                           i + k);
         }
       }
     }

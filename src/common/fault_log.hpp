@@ -229,6 +229,11 @@ class SweepTally {
     note(region, index, account_check(log, DuePolicy::record_only, region, outcome, index));
   }
 
+  /// Account \p n clean codeword checks in bulk.
+  void clean(FaultLog* log, std::size_t n) noexcept {
+    if (log != nullptr && n > 0) log->add_checks(n);
+  }
+
   /// Log a semantic-guard hit (a decoded value outside its bound) as a
   /// bounds violation; it is a failure too.
   void bounds_hit(FaultLog* log, Region region, std::size_t index) {

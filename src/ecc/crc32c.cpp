@@ -120,6 +120,38 @@ std::uint64_t sw_groups(const double* in, std::size_t n, double* out, bool encod
   return dirty;
 }
 
+/// One slicing-by-4 step: fold the little-endian 4-byte \p word into \p crc.
+inline std::uint32_t sw_step4(std::uint32_t crc, std::uint32_t word) noexcept {
+  word ^= crc;
+  return kTables.t[3][word & 0xffu] ^ kTables.t[2][(word >> 8) & 0xffu] ^
+         kTables.t[1][(word >> 16) & 0xffu] ^ kTables.t[0][word >> 24];
+}
+
+inline std::uint32_t sw_col(std::uint32_t crc, std::uint32_t col) noexcept {
+  return sw_step4(crc, col);
+}
+inline std::uint32_t sw_col(std::uint32_t crc, std::uint64_t col) noexcept {
+  return sw_step(crc, col);
+}
+
+inline std::uint64_t value_bits(const double* p) noexcept {
+  std::uint64_t w;
+  std::memcpy(&w, p, sizeof w);
+  return w;
+}
+
+template <class Col>
+void sw_rows(const CrcRowRun<Col>& run, std::uint32_t* crcs) noexcept {
+  for (std::size_t k = 0; k < run.nrows; ++k) {
+    std::uint32_t c = ~0u;
+    for (std::size_t e = 0, at = k; e < run.width; ++e, at += run.stride) {
+      c = sw_step(c, value_bits(run.values + at));
+      c = sw_col(c, run.cols[at] & run.col_mask);
+    }
+    crcs[k] = ~c;
+  }
+}
+
 #if defined(ABFT_HAVE_SSE42_CRC)
 bool detect_sse42() noexcept {
 #if defined(__GNUC__) || defined(__clang__)
@@ -190,17 +222,67 @@ std::uint64_t hw_groups(const double* in, std::size_t n, double* out, bool encod
   return out != nullptr ? hw_groups_t<false, true>(in, n, out)
                         : hw_groups_t<false, false>(in, n, out);
 }
+
+/// One row element into a crc32 chain: the value bits, then the masked column.
+__attribute__((target("sse4.2"))) inline std::uint64_t hw_element(std::uint64_t c,
+                                                                  const double* v,
+                                                                  std::uint32_t col) noexcept {
+  return _mm_crc32_u32(static_cast<std::uint32_t>(_mm_crc32_u64(c, value_bits(v))), col);
+}
+__attribute__((target("sse4.2"))) inline std::uint64_t hw_element(std::uint64_t c,
+                                                                  const double* v,
+                                                                  std::uint64_t col) noexcept {
+  return _mm_crc32_u64(_mm_crc32_u64(c, value_bits(v)), col);
+}
+
+/// Rows [k0, k0 + N) of \p run as N crc32 chains side by side, slot by slot:
+/// slot e of the N rows is contiguous.
+template <std::size_t N, class Col>
+__attribute__((target("sse4.2"))) void hw_row_group(const CrcRowRun<Col>& run, std::size_t k0,
+                                                    std::uint32_t* crcs) noexcept {
+  std::uint64_t c[N];
+  for (std::size_t k = 0; k < N; ++k) c[k] = 0xFFFFFFFFu;
+  const Col mask = run.col_mask;
+  for (std::size_t e = 0; e < run.width; ++e) {
+    const double* const v = run.values + k0 + e * run.stride;
+    const Col* const col = run.cols + k0 + e * run.stride;
+    for (std::size_t k = 0; k < N; ++k) c[k] = hw_element(c[k], v + k, col[k] & mask);
+  }
+  for (std::size_t k = 0; k < N; ++k) crcs[k0 + k] = ~static_cast<std::uint32_t>(c[k]);
+}
+
+template <class Col>
+void hw_rows(const CrcRowRun<Col>& run, std::uint32_t* crcs) noexcept {
+  // Eight chains keep the crc32 unit busy past the instruction's 3-cycle
+  // latency; the rows left over run in groups of 4, 2 and 1.
+  std::size_t k = 0;
+  for (; k + 8 <= run.nrows; k += 8) hw_row_group<8>(run, k, crcs);
+  if (k + 4 <= run.nrows) {
+    hw_row_group<4>(run, k, crcs);
+    k += 4;
+  }
+  if (k + 2 <= run.nrows) {
+    hw_row_group<2>(run, k, crcs);
+    k += 2;
+  }
+  if (k < run.nrows) hw_row_group<1>(run, k, crcs);
+}
 #endif  // ABFT_HAVE_SSE42_CRC
 
-/// The kernels one CrcImpl selects: the byte-stream CRC and the group run.
+/// The kernels one CrcImpl selects: the byte-stream CRC, the group run and
+/// the row runs at both column widths.
 struct Kernels {
   std::uint32_t (*bytes)(const std::uint8_t*, std::size_t, std::uint32_t) noexcept;
   std::uint64_t (*groups)(const double*, std::size_t, double*, bool) noexcept;
+  void (*rows32)(const CrcRowRun<std::uint32_t>&, std::uint32_t*) noexcept;
+  void (*rows64)(const CrcRowRun<std::uint64_t>&, std::uint32_t*) noexcept;
 };
 
-constexpr Kernels kSoftware{sw_kernel, sw_groups};
+constexpr Kernels kSoftware{sw_kernel, sw_groups, sw_rows<std::uint32_t>,
+                            sw_rows<std::uint64_t>};
 #if defined(ABFT_HAVE_SSE42_CRC)
-constexpr Kernels kHardware{hw_kernel, hw_groups};
+constexpr Kernels kHardware{hw_kernel, hw_groups, hw_rows<std::uint32_t>,
+                            hw_rows<std::uint64_t>};
 #endif
 
 std::atomic<const Kernels*> g_kernels{nullptr};
@@ -263,6 +345,14 @@ std::uint64_t crc32c_check_groups(const double* storage, std::size_t ngroups,
 void crc32c_encode_groups(const double* logical, std::size_t ngroups,
                           double* storage) noexcept {
   (void)kernels().groups(logical, ngroups, storage, true);
+}
+
+void crc32c_rows(const CrcRowRun<std::uint32_t>& run, std::uint32_t* crcs) noexcept {
+  kernels().rows32(run, crcs);
+}
+
+void crc32c_rows(const CrcRowRun<std::uint64_t>& run, std::uint32_t* crcs) noexcept {
+  kernels().rows64(run, crcs);
 }
 
 void set_crc32c_impl(CrcImpl impl) noexcept {

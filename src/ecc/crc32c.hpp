@@ -62,7 +62,32 @@ enum class CrcImpl : std::uint8_t {
 void crc32c_encode_groups(const double* logical, std::size_t ngroups,
                           double* storage) noexcept;
 
-/// Select the kernel used by crc32c() and the group run codec. Benchmarks
+/// A run of up to 64 matrix-row codewords: each row's CRC-32C message is,
+/// element by element, the 8 bytes of the value followed by the column index
+/// masked with \p col_mask (4 or 8 bytes, little-endian) — the per-row
+/// element codeword of schemes::ElemCrc32c. The rows are a block of
+/// consecutive rows of a column-major slab: element e of row k sits at slot
+/// k + e * stride of \p values / \p cols, every row \p width elements wide,
+/// so slot e is contiguous across the rows. One row alone (\p nrows 1) is
+/// any strided row, a CSR row at stride 1 included.
+template <class Col>
+struct CrcRowRun {
+  const double* values = nullptr;
+  const Col* cols = nullptr;
+  Col col_mask = 0;
+  std::size_t nrows = 0;  ///< rows in the run, at most 64
+  std::size_t stride = 1;
+  std::size_t width = 0;
+};
+
+/// Write the CRC-32C of each row of \p run to crcs[0, run.nrows). Runs
+/// through the same dispatch as crc32c(): one indirect call per run; the
+/// hardware kernel runs several rows' crc32 chains side by side, slot by
+/// slot, the software kernel row by row with slicing-by-8 steps.
+void crc32c_rows(const CrcRowRun<std::uint32_t>& run, std::uint32_t* crcs) noexcept;
+void crc32c_rows(const CrcRowRun<std::uint64_t>& run, std::uint32_t* crcs) noexcept;
+
+/// Select the kernel used by crc32c() and the group and row runs. Benchmarks
 /// use this to compare the software and hardware paths on the same machine.
 void set_crc32c_impl(CrcImpl impl) noexcept;
 

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <tuple>
+#include <vector>
 
 #include "abft/protected_csr.hpp"
 #include "common/rng.hpp"
@@ -232,6 +233,65 @@ TEST(ProtectedCsrFaults, CorruptRowPtrIsBoundsGuardedInRowAccessors) {
   EXPECT_EQ(p.row_nnz_at(5), 0u);
   EXPECT_GE(log.bounds_violations(), 1u);
   EXPECT_THROW((void)p.element_in_row(4, a.row_nnz(4) + 1000), BoundsViolation);
+}
+
+// ---------------------------------------------------------------------------
+// Long rows under the per-row CRC: a single flip stays correctable past the
+// 6144-byte codeword (512 elements at 32-bit, 384 at 64-bit).
+// ---------------------------------------------------------------------------
+
+template <class Index>
+sparse::Csr<Index> long_row_matrix() {
+  // Rows 0 and 2 hold 5 elements; row 1 holds 600.
+  constexpr std::size_t kLong = 600;
+  sparse::Csr<Index> a(3, kLong);
+  for (std::size_t r = 0; r < 3; ++r) {
+    const std::size_t n = r == 1 ? kLong : 5;
+    for (std::size_t c = 0; c < n; ++c) {
+      a.cols().push_back(static_cast<Index>(c));
+      a.values().push_back(1.0 + 0.001 * static_cast<double>(r * kLong + c));
+    }
+    a.row_ptr()[r + 1] = static_cast<Index>(a.values().size());
+  }
+  return a;
+}
+
+template <class Index, class ES, class RS>
+void expect_long_row_flip_corrected(bool column_bit) {
+  const auto a = long_row_matrix<Index>();
+  FaultLog log;
+  auto p = ProtectedCsr<Index, ES, RS>::from_csr(a, &log, DuePolicy::record_only);
+  const std::vector<double> values(p.raw_values().begin(), p.raw_values().end());
+  const std::vector<Index> cols(p.raw_cols().begin(), p.raw_cols().end());
+  const std::size_t k = 5 + 550;  // deep inside row 1
+  if (column_bit) {
+    p.raw_cols()[k] ^= Index{1} << 3;
+  } else {
+    auto v = p.raw_values();
+    faults::flip_bit({reinterpret_cast<std::uint8_t*>(v.data()), v.size_bytes()}, k * 64 + 17);
+  }
+  EXPECT_EQ(p.verify_all(), 0u);
+  EXPECT_EQ(log.corrected(), 1u);
+  EXPECT_EQ(log.uncorrectable(), 0u);
+  const auto events = log.events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].region, Region::csr_values);
+  EXPECT_EQ(events[0].outcome, CheckOutcome::corrected);
+  EXPECT_EQ(events[0].index, 1u);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    ASSERT_EQ(double_to_bits(p.raw_values()[i]), double_to_bits(values[i])) << i;
+    ASSERT_EQ(p.raw_cols()[i], cols[i]) << i;
+  }
+}
+
+TEST(ProtectedCsrFaults, LongCrcRowCorrectsValueFlip) {
+  expect_long_row_flip_corrected<std::uint32_t, ElemCrc32c, RowCrc32c>(false);
+  expect_long_row_flip_corrected<std::uint64_t, Elem64Crc32c, Row64Crc32c>(false);
+}
+
+TEST(ProtectedCsrFaults, LongCrcRowCorrectsColumnFlip) {
+  expect_long_row_flip_corrected<std::uint32_t, ElemCrc32c, RowCrc32c>(true);
+  expect_long_row_flip_corrected<std::uint64_t, Elem64Crc32c, Row64Crc32c>(true);
 }
 
 }  // namespace

@@ -106,7 +106,7 @@ TEST(Sell, RoundTripsAdversarialRowLengthDistributions) {
 
   for (std::size_t d = 0; d < distributions.size(); ++d) {
     const auto a = csr_from_row_lengths(n, distributions[d], rng);
-    for (const auto [slice, window] :
+    for (const auto& [slice, window] :
          {std::pair<std::size_t, std::size_t>{1, 1}, {4, 8}, {7, 3}, {32, 64},
           {64, 64}, {256, 128}}) {
       const auto s = sparse::SellMatrix::from_csr(a, 0, slice, window);
@@ -160,7 +160,9 @@ TEST(Sell, PermutationIsInverseConsistentAndWindowSorted) {
     for (std::size_t i = w0; i < w1; ++i) {
       EXPECT_GE(s.perm()[i], w0);
       EXPECT_LT(s.perm()[i], w1);
-      if (i > w0) EXPECT_LE(s.row_nnz()[i], s.row_nnz()[i - 1]) << i;
+      if (i > w0) {
+        EXPECT_LE(s.row_nnz()[i], s.row_nnz()[i - 1]) << i;
+      }
     }
   }
 }
@@ -206,7 +208,7 @@ TEST(Sell, SpmvBitIdenticalToCsrOnIrregularMatrix) {
   lens[0] = 0;
   lens[200] = 150;
   const auto a = csr_from_row_lengths(201, lens, rng);
-  for (const auto [slice, window] :
+  for (const auto& [slice, window] :
        {std::pair<std::size_t, std::size_t>{32, 64}, {5, 20}, {1, 1}}) {
     const auto s = sparse::SellMatrix::from_csr(a, 0, slice, window);
     std::vector<double> x(a.ncols()), y_csr(a.nrows()), y_sell(a.nrows(), -7.0);

@@ -556,7 +556,9 @@ void expect_fleet_determinism(FleetFault fault, const char* what,
     ASSERT_GT(reference.tenant_logs[3].corrected, 0u) << what;
     // Fault isolation: no other tenant saw a correction.
     for (std::size_t i = 0; i < reference.tenant_logs.size(); ++i) {
-      if (i != 3) EXPECT_EQ(reference.tenant_logs[i].corrected, 0u) << what;
+      if (i != 3) {
+        EXPECT_EQ(reference.tenant_logs[i].corrected, 0u) << what;
+      }
     }
   }
   if (adaptive) {

@@ -60,9 +60,9 @@ TEST(TileGeometry, ParseTileSlotsAgreesWithValidation) {
   for (const std::size_t s : kValid) {
     EXPECT_EQ(parse_tile_slots(std::to_string(s)), s);
   }
-  EXPECT_THROW(parse_tile_slots("0"), std::invalid_argument);
-  EXPECT_THROW(parse_tile_slots("48"), std::invalid_argument);
-  EXPECT_THROW(parse_tile_slots("sixty-four"), std::invalid_argument);
+  EXPECT_THROW((void)parse_tile_slots("0"), std::invalid_argument);
+  EXPECT_THROW((void)parse_tile_slots("48"), std::invalid_argument);
+  EXPECT_THROW((void)parse_tile_slots("sixty-four"), std::invalid_argument);
 }
 
 TEST(TileGeometry, NumTilesTailFoldRule) {
